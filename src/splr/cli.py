@@ -127,17 +127,14 @@ def cmd_cv(args) -> int:
         sol, _ = alternating_minimization(p, eps=args.eps)
         return sol.X
 
-    lam, mu, scores = cross_validate_wrapper(D, fit, grid, args.folds,
-                                             args.seed)
+    lam, mu, scores = experiments.cross_validate(D, fit, grid,
+                                                 folds=args.folds,
+                                                 seed=args.seed)
     print(f"best lam {lam:.8g}")
     print(f"best mu {mu:.8g}")
     for (a, b), s in sorted(scores.items()):
         print(f"  lam={a:.6g} mu={b:.6g} score={s:.6g}")
     return 0
-
-
-def cross_validate_wrapper(D, fit, grid, folds, seed):
-    return experiments.cross_validate(D, fit, grid, folds=folds, seed=seed)
 
 
 def cmd_bench(args) -> int:

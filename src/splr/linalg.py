@@ -67,16 +67,6 @@ def truncated_svd(A, k: int) -> SpectralFactorization:
     return SpectralFactorization(s[:k].copy(), U[:, :k].copy(), Vt[:k].T.copy())
 
 
-def truncated_svd_sym(A, k: int) -> SpectralFactorization:
-    """Fast path for symmetric A: SVD from the eigendecomposition."""
-    w, Q = sym_eig(A)
-    order = np.argsort(-np.abs(w), kind="stable")[:k]
-    s = np.abs(w[order])
-    U = Q[:, order]
-    V = U * np.sign(w[order] + (w[order] == 0))
-    return SpectralFactorization(s.copy(), U.copy(), V.copy())
-
-
 def randomized_svd(A, k: int, oversampling: int = 10, power_iters: int = 2,
                    seed: int = 0) -> SpectralFactorization:
     """Randomized range-finder SVD (Gaussian sketch + power iterations).

@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from splr import conic
 from splr.conic import (Cone, ConicProblem, nonneg_cone, project_cone,
                         psd_cone, rsoc_cone, solve_conic, zero_cone)
 
@@ -15,6 +17,31 @@ def _problem(c, rows, b, cones):
     A = scipy.sparse.csr_matrix(np.asarray(rows, dtype=float))
     return ConicProblem(c=np.asarray(c, float), A=A,
                         b=np.asarray(b, float), cones=cones)
+
+
+def _one_cone_reference(v, cone):
+    """Projection onto one cone, written out cone by cone (the formulas the
+    grouped projection vectorizes), as a reference."""
+    if cone.kind == "zero":
+        return np.zeros_like(v)
+    if cone.kind == "nonneg":
+        return np.maximum(v, 0.0)
+    if cone.kind == "rsoc":
+        sq2 = np.sqrt(2.0)
+        t = (v[0] + v[1]) / sq2
+        z = np.r_[(v[0] - v[1]) / sq2, v[2:]]
+        nz = np.linalg.norm(z)
+        if nz <= t:
+            return v.copy()
+        if nz <= -t:
+            return np.zeros_like(v)
+        coef = 0.5 * (t + nz)
+        pz = coef * z / nz
+        return np.r_[(coef + pz[0]) / sq2, (coef - pz[0]) / sq2, pz[1:]]
+    p = cone.side
+    M = 0.5 * (v.reshape(p, p) + v.reshape(p, p).T)
+    w, Q = np.linalg.eigh(M)
+    return ((Q * np.maximum(w, 0.0)) @ Q.T).ravel()
 
 
 class TestValidation:
@@ -33,6 +60,13 @@ class TestValidation:
     def test_rsoc_min_dim(self):
         with pytest.raises(ValueError):
             rsoc_cone(1)
+
+    @pytest.mark.parametrize("cone", [Cone("exp", 2), Cone("psd", 5),
+                                      Cone("rsoc", 1)])
+    def test_malformed_cone_rejected_at_build(self, cone):
+        m = cone.dim
+        with pytest.raises(ValueError):
+            _problem([1.0], np.ones((m, 1)), np.zeros(m), [cone])
 
 
 class TestProjections:
@@ -90,6 +124,48 @@ class TestProjections:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             project_cone(np.zeros(2), Cone("exp", 2))
+
+    def test_grouped_product_matches_per_cone(self):
+        # kinds and sizes interleaved, so each group gathers scattered rows
+        cones = [psd_cone(4), rsoc_cone(3), zero_cone(3), rsoc_cone(7),
+                 nonneg_cone(4), psd_cone(8), rsoc_cone(3), psd_cone(4)]
+        rng = np.random.default_rng(3)
+
+        def edge_points(cone):
+            d = cone.dim
+            if cone.kind == "rsoc":
+                z, w = np.zeros(d - 2), np.eye(1, d - 2).ravel() * 2.0
+                return [np.zeros(d),
+                        np.r_[-1.0, -1.0, z],   # z = 0, t < 0
+                        np.r_[1.0, 1.0, z],     # z = 0, t > 0
+                        np.r_[1.0, 2.0, w],     # boundary: 2ab = |w|^2
+                        np.r_[-1.0, -2.0, w],   # polar cone
+                        np.r_[0.0, 3.0, z]]     # boundary face a = 0
+            if cone.kind == "psd":
+                p = cone.side
+                B = np.linalg.qr(rng.standard_normal((p, p)))[0]
+                ev = np.linspace(-1.0, 1.0, p)
+                on_face = (B * np.maximum(ev, 0.0)) @ B.T
+                return [np.zeros(d), on_face.ravel(), -on_face.ravel(),
+                        ((B * ev) @ B.T).ravel()]
+            return [np.zeros(d), -np.ones(d), np.ones(d)]
+
+        edges = [edge_points(co) for co in cones]
+        samples = [np.concatenate([pts[i % len(pts)] for pts in edges])
+                   for i in range(6)]
+        samples += [rng.standard_normal(sum(co.dim for co in cones)) * 3
+                    for _ in range(10)]
+        bounds = np.cumsum([0] + [co.dim for co in cones])
+        layout = conic._ConeLayout(cones)
+        with np.errstate(all="raise"):
+            for v in samples:
+                grouped = conic._project(v, layout)
+                for one_cone in (project_cone, _one_cone_reference):
+                    one_by_one = np.concatenate(
+                        [one_cone(v[lo:hi], co)
+                         for co, lo, hi in zip(cones, bounds, bounds[1:])])
+                    np.testing.assert_allclose(grouped, one_by_one, rtol=0,
+                                               atol=1e-12)
 
 
 class TestSolveCorpus:
@@ -157,6 +233,17 @@ class TestSolveCorpus:
         np.testing.assert_array_equal(s1.x, s2.x)
         np.testing.assert_array_equal(s1.y, s2.y)
         assert s1.iterations == s2.iterations
+
+    def test_setup_and_solve_times(self):
+        prob = _problem([1.0, 0.0, 0.0],
+                        [[-1.0, 0, 0], [0, -0.5, 0], [0, 0, -1.0],
+                         [0, -1.0, 0], [0, 0, -1.0]],
+                        [0, 0, 0, -1.0, -2.0], [rsoc_cone(3), zero_cone(2)])
+        start = time.perf_counter()
+        sol = solve_conic(prob)
+        wall = time.perf_counter() - start
+        assert sol.setup_s >= 0.0 and sol.solve_s >= 0.0
+        assert sol.setup_s + sol.solve_s <= wall
 
     def test_dual_feasibility_and_gap(self):
         prob = _problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)])
