@@ -112,13 +112,6 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
     return S * Dtilde / (1.0 + mu)
 
 
-def _rank_of(X, tol: float = 1e-9) -> int:
-    s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
                              max_iters: int = 1000, init=None,
                              pattern: SparsityPattern | None = None,
@@ -211,13 +204,10 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
 
     trace.iterations = t
     trace.converged_reason = reason
-    if sv_final is None:
-        rank_x = _rank_of(X)
-    else:
-        # X was built as a truncated SVD scaled by a positive constant, so
-        # its rank is the number of retained singular values above cutoff
-        top = sv_final[0] if sv_final.size else 0.0
-        rank_x = int(np.sum(sv_final > 1e-9 * top)) if top > 0 else 0
+    # after an SVD step X is a positive multiple of a truncated SVD, so the
+    # kept singular values give its rank without another SVD
+    rank_x = linalg.rank_count(X if sv_final is None else sv_final,
+                               rtol=1e-9)
     sol = SlrSolution(X=X, Y=Y, objective=f_prev, rank_of_X=rank_x,
                       nnz_of_Y=int(np.count_nonzero(Y)))
     sol.feasible = sol.rank_of_X <= k0 and sol.nnz_of_Y <= k1
@@ -287,8 +277,7 @@ def fixed_pattern_certificate(instance: ProblemInstance,
                                   degenerate=True)
     else:
         gamma = float(s[k0] / s[k0 - 1])
-    rank_x = _rank_of(Xstar)
-    if rank_x < k0:
+    if linalg.rank_count(Xstar, rtol=1e-9) < k0:
         certified = cond1 > 0
     else:
         certified = cond1 > 0 and gamma < threshold

@@ -21,11 +21,6 @@ def _fit(D, X, Y):
     return float(np.sum(R * R))
 
 
-def _rank_count(X, cutoff=1e-2):
-    s = np.linalg.svd(X, compute_uv=False)
-    return int(np.sum(s > cutoff))
-
-
 def godec(D, k0: int, k1: int, eps: float = 1e-4, max_iters: int = 1000):
     """Unregularized alternating truncation/thresholding.
 
@@ -54,8 +49,8 @@ def godec(D, k0: int, k1: int, eps: float = 1e-4, max_iters: int = 1000):
             break
         f_prev = f_t
     sol = SlrSolution(X=X, Y=Y, objective=f_prev,
-                      rank_of_X=min(k0, int(np.linalg.matrix_rank(X)))
-                      if X.any() else 0,
+                      rank_of_X=min(k0, linalg.rank_count(
+                          X, rtol=max(X.shape) * np.finfo(float).eps)),
                       nnz_of_Y=int(np.count_nonzero(Y)))
     return sol, trace
 
@@ -178,5 +173,6 @@ def scaled_gd(D, k0: int, gamma_frac: float = 0.0, step: float = 0.5,
         f_prev = f_t
     X = U @ V.T
     sol = SlrSolution(X=X, Y=Y, objective=_fit(D, X, Y),
-                      rank_of_X=_rank_count(X), nnz_of_Y=int(np.count_nonzero(Y)))
+                      rank_of_X=linalg.rank_count(X, atol=1e-2),
+                      nnz_of_Y=int(np.count_nonzero(Y)))
     return sol, trace

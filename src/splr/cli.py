@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import experiments, linalg
 from .altmin import alternating_minimization
 from .bnb import branch_and_bound
@@ -67,11 +65,7 @@ def cmd_bound(args) -> int:
     elif args.variant == "strengthened":
         model = build_strengthened_relaxation(inst, args.beta, args.gamma)
     else:
-        beta = args.beta if args.beta is not None \
-            else float(np.linalg.norm(inst.D, 2))
-        gamma = args.gamma if args.gamma is not None \
-            else float(np.abs(inst.D).max())
-        model = build_lee_zou_relaxation(inst, beta, gamma)
+        model = build_lee_zou_relaxation(inst, args.beta, args.gamma)
     res = model.solve()
     if res.solver_status != "optimal":
         print(f"solver did not converge (status {res.solver_status})",
@@ -119,14 +113,7 @@ def cmd_cv(args) -> int:
     if args.scale_by_sqrt_n:
         vals = [v / math.sqrt(D.shape[0]) for v in vals]
     grid = [(a, b) for a in vals for b in vals]
-
-    def fit(D_train, lam, mu):
-        nt = D_train.shape[0]
-        k1t = min(nt * nt, int(round(args.k1 * (nt / D.shape[0]) ** 2)))
-        p = ProblemInstance(D_train, min(args.k0, nt), k1t, lam, mu)
-        sol, _ = alternating_minimization(p, eps=args.eps)
-        return sol.X
-
+    fit = experiments.am_cv_fit(args.k0, args.k1, D.shape[0], args.eps)
     lam, mu, scores = experiments.cross_validate(D, fit, grid,
                                                  folds=args.folds,
                                                  seed=args.seed)

@@ -165,6 +165,19 @@ def cross_validate(D, method, grid, folds: int = 30, seed: int = 0):
     return best[0], best[1], scores
 
 
+def am_cv_fit(k0: int, k1: int, n: int, eps: float):
+    """The cross_validate method that decomposes a training block by
+    alternating minimization, with k0 clamped to the block size nt and k1
+    scaled by (nt/n)^2 from the full n x n problem."""
+    def fit(D_train, lam, mu):
+        nt = D_train.shape[0]
+        k1t = min(nt * nt, int(round(k1 * (nt / n) ** 2)))
+        p = ProblemInstance(D_train, min(k0, nt), k1t, lam, mu)
+        sol, _ = alternating_minimization(p, eps=eps)
+        return sol.X
+    return fit
+
+
 def compute_metrics(solution, truth: SyntheticInstance, method: str = "",
                     runtime: float = 0.0) -> MetricsRow:
     """Relative squared errors of both parts plus support discovery rate."""
@@ -200,13 +213,7 @@ def _run_method(method, inst: SyntheticInstance, eps, hyper):
         base = [float(v) for v in hyper.get("cv_grid", DEFAULT_CV_GRID)]
         vals = [v / math.sqrt(inst.n) for v in base]
         grid = [(a, b) for a in vals for b in vals]
-        # decompose the training block with rank/sparsity scaled to its size
-        def fit(D_train, l_, m_):
-            nt = D_train.shape[0]
-            k1t = min(nt * nt, int(round(inst.k1 * (nt / inst.n) ** 2)))
-            p = ProblemInstance(D_train, min(inst.k0, nt), k1t, l_, m_)
-            sol, _ = alternating_minimization(p, eps=eps)
-            return sol.X
+        fit = am_cv_fit(inst.k0, inst.k1, inst.n, eps)
         lam, mu, _ = cross_validate(inst.D, fit, grid,
                                     folds=int(hyper.get("cv_folds", 30)),
                                     seed=inst.seed)

@@ -137,6 +137,20 @@ def pseudoinverse(A, tol: float = 1e-12) -> np.ndarray:
     return np.linalg.pinv(A, rcond=tol)
 
 
+def rank_count(M, rtol: float = 0.0, atol: float = 0.0) -> int:
+    """Number of singular values above max(atol, rtol * sigma_max).
+
+    M is a matrix or the 1-d array of its singular values; an empty
+    spectrum has rank 0.
+    """
+    s = np.asarray(M, dtype=float)
+    if s.ndim == 2:
+        s = np.linalg.svd(s, compute_uv=False)
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > max(atol, rtol * s.max())))
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read the repo-wide matrix format: headerless CSV, one row per line.
 

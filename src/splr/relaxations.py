@@ -14,10 +14,18 @@ When the sparse part is forced to vanish (k1 = 0 or every entry forced
 zero), the residual quadratic in X is replaced by its exact linearization
 ||D||^2 - 2<D, X> + (1+lam)*tr(Theta), which is tight for the pure low-rank
 problem; keeping the quadratic there gives a strictly weaker bound.
+
+Programs are built from integer id matrices: the builder hands out each
+matrix variable as an array of variable ids (a symmetric one numbers its
+upper triangle row-major), and a whole cone is added at once from a
+constant vector plus (rows, ids, coef) terms, so a PSD block is one
+``np.block`` of id matrices. The terms collect into one COO triple that
+becomes the CSR constraint matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,80 +39,62 @@ from .core import ProblemInstance
 class _ConeProgramBuilder:
     """Accumulates variables, objective terms, and cone-tagged rows.
 
-    Row semantics: each added expression e(x) becomes a slack component
-    s = e(x) that must lie in the tagged cone.
+    Row semantics: each row r of a cone is a slack component
+    s_r = const_r + sum of coef * x[id] over the terms touching r, and s
+    must lie in the cone.
     """
 
     def __init__(self):
         self.nvars = 0
-        self.obj = {}
+        self.rows = 0
         self.constant = 0.0
-        self._ri = []
-        self._rj = []
-        self._rv = []
-        self._b = []
         self.cones = []
+        self._obj = []
+        self._coo = ([], [], [])
+        self._b = []
 
-    def new_vars(self, count):
-        start = self.nvars
-        self.nvars += count
-        return list(range(start, start + count))
+    def new_vars(self, *shape):
+        """Fresh variables as an id array of the given shape (() is one)."""
+        size = math.prod(shape)
+        self.nvars += size
+        return np.arange(self.nvars - size, self.nvars).reshape(shape)
 
-    def add_objective(self, var, coef):
-        self.obj[var] = self.obj.get(var, 0.0) + coef
+    def sym_vars(self, n):
+        """Symmetric n x n id matrix over its upper triangle, row-major."""
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        ids = np.empty((n, n), dtype=np.int64)
+        ids[upper] = ids.T[upper] = self.new_vars(n * (n + 1) // 2)
+        return ids
 
-    def _push_row(self, terms, const):
-        r = len(self._b)
-        for var, coef in terms:
-            if coef != 0.0:
-                self._ri.append(r)
-                self._rj.append(var)
-                self._rv.append(-coef)
+    def add_objective(self, ids, coef):
+        self._obj.append((ids, coef))
+
+    def add_cone(self, kind, const, *terms, count=1):
+        """Append count equal cones over the len(const) rows. Each term
+        (rows, ids, coef) adds coef * x[ids] to the given rows; rows=None
+        pairs row r with the r-th id."""
+        const = np.asarray(const, dtype=float)
+        ri, rj, rv = self._coo
+        for rows, ids, coef in terms:
+            ids = np.ravel(ids)
+            rows = np.arange(ids.size) if rows is None else rows
+            ri.append(np.full(ids.size, rows + self.rows))
+            rj.append(ids)
+            rv.append(np.full(ids.size, np.ravel(coef), dtype=float))
         self._b.append(const)
-
-    def add_block(self, kind, exprs):
-        """exprs: list of (terms, const); appends one cone of that size."""
-        for terms, const in exprs:
-            self._push_row(terms, const)
-        if kind == "psd":
-            side = int(round(len(exprs) ** 0.5))
-            self.cones.append(Cone("psd", side * side))
-        else:
-            self.cones.append(Cone(kind, len(exprs)))
+        self.cones += [Cone(kind, const.size // count)] * count
+        self.rows += const.size
 
     def build(self) -> ConicProblem:
-        m = len(self._b)
-        A = scipy.sparse.csr_matrix(
-            (self._rv, (self._ri, self._rj)), shape=(m, self.nvars))
+        ri, rj, rv = (np.concatenate(part) for part in self._coo)
+        keep = rv != 0.0
+        A = scipy.sparse.csr_matrix((-rv[keep], (ri[keep], rj[keep])),
+                                    shape=(self.rows, self.nvars))
         c = np.zeros(self.nvars)
-        for var, coef in self.obj.items():
-            c[var] = coef
-        return ConicProblem(c=c, A=A, b=np.array(self._b, dtype=float),
+        for ids, coef in self._obj:
+            np.add.at(c, ids, coef)
+        return ConicProblem(c=c, A=A, b=np.concatenate(self._b),
                             cones=self.cones)
-
-
-def _tri_indices(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-class _SymVar:
-    """Symmetric n x n matrix stored as upper-triangle variables."""
-
-    def __init__(self, bld, n):
-        self.n = n
-        self.pos = {}
-        ids = bld.new_vars(n * (n + 1) // 2)
-        for ij, v in zip(_tri_indices(n), ids):
-            self.pos[ij] = v
-
-    def var(self, i, j):
-        return self.pos[(i, j) if i <= j else (j, i)]
-
-    def extract(self, x):
-        M = np.zeros((self.n, self.n))
-        for (i, j), v in self.pos.items():
-            M[i, j] = M[j, i] = x[v]
-        return M
 
 
 @dataclass
@@ -119,7 +109,9 @@ class RelaxationResult:
 
 @dataclass
 class RelaxationModel:
-    """A built cone program plus the maps needed to read its solution.
+    """A built cone program plus the id matrices of the variables to read
+    back from its solution (None for a variable the program does not have,
+    which reads as zero).
 
     The program is built on D/scale (unit-magnitude data keeps the ADMM
     iterates well conditioned); bounds scale back by scale^2 and the
@@ -128,125 +120,169 @@ class RelaxationModel:
 
     problem: ConicProblem
     constant: float
-    n: int
-    X_ids: list
-    P_sym: _SymVar
-    Y_ids: list = None
-    Z_ids: list = None
-    Z_fixed: dict = None   # forced Z values when Z is not a variable
+    X: np.ndarray
+    P: np.ndarray = None
+    Y: np.ndarray = None
+    Z: np.ndarray = None
     scale: float = 1.0
 
     def solve(self, tol: float = 1e-5, max_iters: int = 50000) -> RelaxationResult:
         sol = solve_conic(self.problem, tol=tol, max_iters=max_iters)
-        n = self.n
-        tau = self.scale
-        x = sol.x
-        X = tau * np.array(x)[self.X_ids].reshape(n, n)
-        if self.Y_ids is None:
-            Y = np.zeros((n, n))
-        else:
-            Y = tau * np.array(x)[self.Y_ids].reshape(n, n)
-        if self.Z_ids is None:
-            Z = np.zeros((n, n))
-            if self.Z_fixed:
-                for (i, j), v in self.Z_fixed.items():
-                    Z[i, j] = v
-        else:
-            Z = np.clip(np.array(x)[self.Z_ids].reshape(n, n), 0.0, 1.0)
-        P = self.P_sym.extract(x) if self.P_sym is not None else np.zeros((n, n))
+        x, tau = sol.x, self.scale
+
+        def read(ids):
+            return np.zeros(self.X.shape) if ids is None else x[ids]
+
         return RelaxationResult(
             lower_bound=float(sol.objective + self.constant) * tau * tau,
-            Z_fractional=Z, P_fractional=P, X_relax=X, Y_relax=Y,
-            solver_status=sol.status)
+            Z_fractional=np.clip(read(self.Z), 0.0, 1.0),
+            P_fractional=read(self.P), X_relax=tau * read(self.X),
+            Y_relax=tau * read(self.Y), solver_status=sol.status)
 
 
-def _identity_expr(i, j):
-    return 1.0 if i == j else 0.0
+def _add_trace_budget(bld, P, k0):
+    """tr(P) <= k0."""
+    bld.add_cone("nonneg", [float(k0)], (0, np.diag(P), -1.0))
 
 
-def _add_projection_constraints(bld, P: _SymVar, k0: int, n: int):
-    """tr(P) <= k0, P >= 0, I - P >= 0 (PSD order)."""
-    bld.add_block("nonneg", [
-        ([(P.var(i, i), -1.0) for i in range(n)], float(k0))])
-    bld.add_block("psd", [([(P.var(r, c), 1.0)], 0.0)
-                          for r in range(n) for c in range(n)])
-    bld.add_block("psd", [([(P.var(r, c), -1.0)], _identity_expr(r, c))
-                          for r in range(n) for c in range(n)])
+def _add_unit_box(bld, P):
+    """0 <= P <= I in the PSD order."""
+    bld.add_cone("psd", np.zeros(P.size), (None, P, 1.0))
+    bld.add_cone("psd", np.eye(len(P)).ravel(), (None, P, -1.0))
 
 
-def _add_theta_block(bld, Th: _SymVar, X_ids, P: _SymVar, n: int):
-    """2n x 2n block [[Theta, X], [X', P]] >= 0."""
-    exprs = []
-    for r in range(2 * n):
-        for c in range(2 * n):
-            if r < n and c < n:
-                exprs.append(([(Th.var(r, c), 1.0)], 0.0))
-            elif r < n <= c:
-                exprs.append(([(X_ids[r * n + (c - n)], 1.0)], 0.0))
-            elif c < n <= r:
-                exprs.append(([(X_ids[c * n + (r - n)], 1.0)], 0.0))
-            else:
-                exprs.append(([(P.var(r - n, c - n), 1.0)], 0.0))
-    bld.add_block("psd", exprs)
+def _add_psd_block(bld, A, X, B, scale=1.0):
+    """2n x 2n block [[scale*A, X], [X', scale*B]] >= 0."""
+    n = len(X)
+    coef = np.ones((2 * n, 2 * n))
+    coef[:n, :n] = coef[n:, n:] = scale
+    bld.add_cone("psd", np.zeros(coef.size),
+                 (None, np.block([[A, X], [X.T, B]]), coef))
 
 
-def _add_scaled_block(bld, beta, Pr: _SymVar, X_ids, Pc: _SymVar, n: int):
-    """2n x 2n block [[beta*Pr, X], [X', beta*Pc]] >= 0."""
-    exprs = []
-    for r in range(2 * n):
-        for c in range(2 * n):
-            if r < n and c < n:
-                exprs.append(([(Pr.var(r, c), beta)], 0.0))
-            elif r < n <= c:
-                exprs.append(([(X_ids[r * n + (c - n)], 1.0)], 0.0))
-            elif c < n <= r:
-                exprs.append(([(X_ids[c * n + (r - n)], 1.0)], 0.0))
-            else:
-                exprs.append(([(Pc.var(r - n, c - n), beta)], 0.0))
-    bld.add_block("psd", exprs)
+def _add_square_epigraph(bld, t, const, *terms):
+    """t >= ||const + sum of coef * x[ids]||^2 as the rotated cone
+    [t; 1/2; const + sum of coef * x[ids]], one (ids, coef) per term."""
+    rest = 2 + np.arange(np.size(const))
+    bld.add_cone("rsoc", np.concatenate(([0.0, 0.5], np.ravel(const))),
+                 (0, t, 1.0),
+                 *[(rest, ids, coef) for ids, coef in terms])
+
+
+def _abs_box_terms(W, Y, scale):
+    """Terms of the rows scale*W_p - Y_p >= 0, scale*W_p + Y_p >= 0 (rows
+    2p and 2p+1), i.e. |Y| <= scale*W entrywise."""
+    r = 2 * np.arange(W.size)
+    return [(r, W, scale), (r, Y, -1.0), (r + 1, W, scale), (r + 1, Y, 1.0)]
+
+
+def _row_projection(bld, D, P, k0):
+    """The row-space projection of the scaled block: P itself when D is
+    symmetric, else a fresh Pr with its own trace budget and unit box."""
+    if _is_symmetric(D):
+        return P
+    Pr = bld.sym_vars(len(P))
+    _add_trace_budget(bld, Pr, k0)
+    _add_unit_box(bld, Pr)
+    return Pr
 
 
 def _is_symmetric(D):
     return np.abs(D - D.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(D).max(initial=0.0))
 
 
-def _y_vanishes(instance: ProblemInstance, pattern) -> bool:
-    if instance.k1 == 0:
-        return True
-    return pattern is not None and len(pattern.I0) == instance.n ** 2
+def _check_pattern(instance: ProblemInstance, pattern):
+    if pattern is not None:
+        if pattern.n != instance.n:
+            raise ValueError("pattern size does not match instance")
+        pattern.check_against(instance.k1)
 
 
-def _normalized(instance: ProblemInstance):
-    """Unit-magnitude copy of the instance and the applied scale factor.
+def _bounds(D, beta, gamma):
+    """beta and gamma, defaulting to ||D||_2 and max |D_ij| (any valid
+    upper bounds on the optimal X and Y preserve correctness)."""
+    if beta is None:
+        beta = float(np.linalg.norm(D, 2))
+    if gamma is None:
+        gamma = float(np.abs(D).max())
+    if beta <= 0 or gamma <= 0:
+        raise ValueError("beta and gamma must be positive")
+    return beta, gamma
+
+
+def _normalized(D):
+    """Unit-magnitude copy of D and the applied scale factor tau.
 
     The feasible set of every relaxation is covariant under D -> D/tau
     (X, Y scale by 1/tau; Theta, alpha by 1/tau^2; Z, P unchanged), so the
     optimal value on the normalized data times tau^2 is exact. Working at
     unit scale keeps the first-order solver's iterates well conditioned.
     """
-    tau = float(np.abs(instance.D).max())
+    tau = float(np.abs(D).max())
     if tau <= 0 or tau == 1.0:
-        return instance, 1.0
-    return ProblemInstance(instance.D / tau, instance.k0, instance.k1,
-                           instance.lam, instance.mu), tau
+        return D, 1.0
+    return D / tau, tau
 
 
-def _build_lowrank_core(bld, D, k0, lam):
-    """Shared linearized low-rank model: objective constant ||D||^2 plus
-    -2<D, X> + (1+lam)*tr(Theta) under the projection/block constraints."""
-    n = D.shape[0]
-    X_ids = bld.new_vars(n * n)
-    Th = _SymVar(bld, n)
-    P = _SymVar(bld, n)
-    bld.constant += float(np.sum(D * D))
-    for i in range(n):
-        for j in range(n):
-            bld.add_objective(X_ids[i * n + j], -2.0 * D[i, j])
-    for i in range(n):
-        bld.add_objective(Th.var(i, i), 1.0 + lam)
-    _add_projection_constraints(bld, P, k0, n)
-    _add_theta_block(bld, Th, X_ids, P, n)
-    return X_ids, Th, P
+def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
+                       rho2=None, strengthen=None):
+    """The perspective relaxation of unit-scale D, optionally with the
+    strengthening (beta, gamma). When Y vanishes it is the linearized
+    low-rank model: objective ||D||^2 - 2<D, X> + (1+lam)*tr(Theta) under
+    the trace budget and the blocks, with no residual, Z or penalties."""
+    n = len(D)
+    lowrank = k1 == 0 or (pattern is not None and len(pattern.I0) == n * n)
+    bld = _ConeProgramBuilder()
+    if lowrank:
+        X = bld.new_vars(n, n)
+        Y = Z = None
+    else:
+        t = bld.new_vars()
+        X, Y, Z, alpha = (bld.new_vars(n, n) for _ in range(4))
+    Th, P = bld.sym_vars(n), bld.sym_vars(n)
+
+    if lowrank:
+        bld.constant += float(np.sum(D * D))
+        bld.add_objective(X, -2.0 * D)
+        bld.add_objective(np.diag(Th), 1.0 + lam)
+    else:
+        bld.add_objective(t, 1.0)
+        bld.add_objective(np.diag(Th), lam)
+        bld.add_objective(alpha, mu)
+        _add_square_epigraph(bld, t, D, (X, -1.0), (Y, -1.0))
+        # per-entry perspective cones Y_ij^2 <= alpha_ij * Z_ij
+        r = 3 * np.arange(n * n)
+        bld.add_cone("rsoc", np.zeros(3 * n * n), (r, alpha, 1.0),
+                     (r + 1, Z, 0.5), (r + 2, Y, 1.0), count=n * n)
+        # Z <= 1 (Z >= 0 is implied by the cones above)
+        bld.add_cone("nonneg", np.ones(n * n), (None, Z, -1.0))
+        if rho2 is None:
+            bld.add_cone("nonneg", [float(k1)], (0, Z, -1.0))
+        else:
+            bld.add_objective(Z, rho2)
+    if rho1 is None or lowrank:
+        _add_trace_budget(bld, P, k0)
+    else:
+        bld.add_objective(np.diag(P), rho1)
+    if pattern is not None and not lowrank:
+        pins = sorted(pattern.I0) + sorted(pattern.I1)
+        if pins:
+            i, j = np.array(pins).T
+            bld.add_cone("zero", np.repeat([0.0, -1.0], [len(pattern.I0),
+                                                         len(pattern.I1)]),
+                         (None, Z[i, j], 1.0))
+    _add_unit_box(bld, P)
+    _add_psd_block(bld, Th, X, P)
+
+    if strengthen is not None:
+        beta, gamma = strengthen
+        if not lowrank:
+            bld.add_cone("nonneg", np.zeros(2 * n * n),
+                         *_abs_box_terms(Z, Y, gamma))
+        _add_psd_block(bld, _row_projection(bld, D, P, k0), X, P,
+                       scale=beta)
+    return RelaxationModel(problem=bld.build(), constant=bld.constant, X=X,
+                           P=P, Y=Y, Z=Z, scale=tau)
 
 
 def build_perspective_relaxation(instance: ProblemInstance,
@@ -259,27 +295,12 @@ def build_perspective_relaxation(instance: ProblemInstance,
     If rho1/rho2 are given, the trace and cardinality budgets are replaced
     by penalty terms rho1*tr(P) + rho2*<E, Z> in the objective.
     """
-    n, k0, k1 = instance.n, instance.k0, instance.k1
-    lam = instance.lam
-    if pattern is not None:
-        if pattern.n != n:
-            raise ValueError("pattern size does not match instance")
-        pattern.check_against(k1)
-    instance, tau = _normalized(instance)
-
-    if _y_vanishes(instance, pattern):
-        bld = _ConeProgramBuilder()
-        X_ids, Th, P = _build_lowrank_core(bld, instance.D, k0, lam)
-        return RelaxationModel(problem=bld.build(), constant=bld.constant,
-                               n=n, X_ids=X_ids, P_sym=P, scale=tau)
-    if rho1 is not None:
-        rho1 = rho1 / (tau * tau)
-    if rho2 is not None:
-        rho2 = rho2 / (tau * tau)
-    model = _build_perspective_general(instance, pattern, rho1, rho2,
-                                       strengthen=None)
-    model.scale = tau
-    return model
+    _check_pattern(instance, pattern)
+    D, tau = _normalized(instance.D)
+    rho1, rho2 = (None if rho is None else rho / (tau * tau)
+                  for rho in (rho1, rho2))
+    return _build_perspective(D, tau, instance.k0, instance.k1, instance.lam,
+                              instance.mu, pattern, rho1, rho2)
 
 
 def build_strengthened_relaxation(instance: ProblemInstance,
@@ -292,186 +313,45 @@ def build_strengthened_relaxation(instance: ProblemInstance,
     Defaults: beta = spectral norm of D, gamma = max |D_ij| (any valid
     upper bounds on the optimal X and Y preserve correctness).
     """
-    if beta is None:
-        beta = float(np.linalg.norm(instance.D, 2))
-    if gamma is None:
-        gamma = float(np.abs(instance.D).max())
-    if beta <= 0 or gamma <= 0:
-        raise ValueError("beta and gamma must be positive")
-    n = instance.n
-    instance, tau = _normalized(instance)
-    beta, gamma = beta / tau, gamma / tau
-    if _y_vanishes(instance, pattern):
-        bld = _ConeProgramBuilder()
-        X_ids, Th, P = _build_lowrank_core(bld, instance.D, instance.k0,
-                                           instance.lam)
-        if _is_symmetric(instance.D):
-            Pr = Pc = P
-        else:
-            Pr = _SymVar(bld, n)
-            _add_projection_constraints(bld, Pr, instance.k0, n)
-            Pc = P
-        _add_scaled_block(bld, beta, Pr, X_ids, Pc, n)
-        return RelaxationModel(problem=bld.build(), constant=bld.constant,
-                               n=n, X_ids=X_ids, P_sym=P, scale=tau)
-    model = _build_perspective_general(instance, pattern, None, None,
-                                       strengthen=(beta, gamma))
-    model.scale = tau
-    return model
+    beta, gamma = _bounds(instance.D, beta, gamma)
+    _check_pattern(instance, pattern)
+    D, tau = _normalized(instance.D)
+    return _build_perspective(D, tau, instance.k0, instance.k1, instance.lam,
+                              instance.mu, pattern,
+                              strengthen=(beta / tau, gamma / tau))
 
 
-def _build_perspective_general(instance, pattern, rho1, rho2, strengthen):
-    n, k0, k1 = instance.n, instance.k0, instance.k1
-    lam, mu = instance.lam, instance.mu
-    D = instance.D
-    n2 = n * n
-    bld = _ConeProgramBuilder()
-    t = bld.new_vars(1)[0]
-    X_ids = bld.new_vars(n2)
-    Y_ids = bld.new_vars(n2)
-    Z_ids = bld.new_vars(n2)
-    al_ids = bld.new_vars(n2)
-    Th = _SymVar(bld, n)
-    P = _SymVar(bld, n)
-
-    bld.add_objective(t, 1.0)
-    for i in range(n):
-        bld.add_objective(Th.var(i, i), lam)
-    for v in al_ids:
-        bld.add_objective(v, mu)
-
-    # residual epigraph: t >= ||D - X - Y||_F^2 as one big rotated cone
-    exprs = [([(t, 1.0)], 0.0), ([], 0.5)]
-    for i in range(n):
-        for j in range(n):
-            p = i * n + j
-            exprs.append(([(X_ids[p], -1.0), (Y_ids[p], -1.0)], D[i, j]))
-    bld.add_block("rsoc", exprs)
-
-    # per-entry perspective cones Y_ij^2 <= alpha_ij * Z_ij
-    for p in range(n2):
-        bld.add_block("rsoc", [
-            ([(al_ids[p], 1.0)], 0.0),
-            ([(Z_ids[p], 0.5)], 0.0),
-            ([(Y_ids[p], 1.0)], 0.0),
-        ])
-
-    # Z <= 1 (Z >= 0 is implied by the cones above)
-    bld.add_block("nonneg", [([(z, -1.0)], 1.0) for z in Z_ids])
-
-    if rho2 is None:
-        bld.add_block("nonneg", [([(z, -1.0) for z in Z_ids], float(k1))])
-    else:
-        for z in Z_ids:
-            bld.add_objective(z, rho2)
-    if rho1 is None:
-        bld.add_block("nonneg", [
-            ([(P.var(i, i), -1.0) for i in range(n)], float(k0))])
-    else:
-        for i in range(n):
-            bld.add_objective(P.var(i, i), rho1)
-
-    # pattern pinning
-    fixed = {}
-    if pattern is not None:
-        pins = []
-        for (i, j) in sorted(pattern.I0):
-            pins.append(([(Z_ids[i * n + j], 1.0)], 0.0))
-            fixed[(i, j)] = 0.0
-        for (i, j) in sorted(pattern.I1):
-            pins.append(([(Z_ids[i * n + j], 1.0)], -1.0))
-            fixed[(i, j)] = 1.0
-        if pins:
-            bld.add_block("zero", pins)
-
-    bld.add_block("psd", [([(P.var(r, c), 1.0)], 0.0)
-                          for r in range(n) for c in range(n)])
-    bld.add_block("psd", [([(P.var(r, c), -1.0)], _identity_expr(r, c))
-                          for r in range(n) for c in range(n)])
-    _add_theta_block(bld, Th, X_ids, P, n)
-
-    if strengthen is not None:
-        beta, gamma = strengthen
-        box = []
-        for p in range(n2):
-            box.append(([(Z_ids[p], gamma), (Y_ids[p], -1.0)], 0.0))
-            box.append(([(Z_ids[p], gamma), (Y_ids[p], 1.0)], 0.0))
-        bld.add_block("nonneg", box)
-        if _is_symmetric(D):
-            Pr = Pc = P
-        else:
-            Pr = _SymVar(bld, n)
-            _add_projection_constraints(bld, Pr, k0, n)
-            Pc = P
-        _add_scaled_block(bld, beta, Pr, X_ids, Pc, n)
-
-    return RelaxationModel(problem=bld.build(), constant=bld.constant, n=n,
-                           X_ids=X_ids, P_sym=P, Y_ids=Y_ids, Z_ids=Z_ids,
-                           Z_fixed=fixed or None)
-
-
-def build_lee_zou_relaxation(instance: ProblemInstance, beta: float,
-                             gamma: float) -> RelaxationModel:
+def build_lee_zou_relaxation(instance: ProblemInstance,
+                             beta: float | None = None,
+                             gamma: float | None = None) -> RelaxationModel:
     """Nuclear-norm / l1 relaxation: |Y| <= V entrywise with
     <E, V>/gamma <= k1, and (tr W1 + tr W2)/(2*beta) <= k0 with the block
-    [[W1, X], [X', W2]] >= 0 bounding the nuclear norm of X."""
-    if beta <= 0 or gamma <= 0:
-        raise ValueError("beta and gamma must be positive")
-    instance, tau = _normalized(instance)
+    [[W1, X], [X', W2]] >= 0 bounding the nuclear norm of X.
+
+    Defaults as for build_strengthened_relaxation.
+    """
+    beta, gamma = _bounds(instance.D, beta, gamma)
+    D, tau = _normalized(instance.D)
     beta, gamma = beta / tau, gamma / tau
-    n, k0, k1 = instance.n, instance.k0, instance.k1
-    lam, mu = instance.lam, instance.mu
-    D = instance.D
-    n2 = n * n
+    n, n2 = instance.n, instance.n ** 2
     bld = _ConeProgramBuilder()
-    t = bld.new_vars(1)[0]
-    tx = bld.new_vars(1)[0]
-    ty = bld.new_vars(1)[0]
-    X_ids = bld.new_vars(n2)
-    Y_ids = bld.new_vars(n2)
-    V_ids = bld.new_vars(n2)
-    W1 = _SymVar(bld, n)
-    W2 = _SymVar(bld, n)
+    t, tx, ty = bld.new_vars(3)
+    X, Y, V = (bld.new_vars(n, n) for _ in range(3))
+    W1, W2 = bld.sym_vars(n), bld.sym_vars(n)
     bld.add_objective(t, 1.0)
-    bld.add_objective(tx, lam)
-    bld.add_objective(ty, mu)
+    bld.add_objective(tx, instance.lam)
+    bld.add_objective(ty, instance.mu)
 
-    exprs = [([(t, 1.0)], 0.0), ([], 0.5)]
-    for i in range(n):
-        for j in range(n):
-            p = i * n + j
-            exprs.append(([(X_ids[p], -1.0), (Y_ids[p], -1.0)], D[i, j]))
-    bld.add_block("rsoc", exprs)
-    bld.add_block("rsoc", [([(tx, 1.0)], 0.0), ([], 0.5)]
-                  + [([(v, 1.0)], 0.0) for v in X_ids])
-    bld.add_block("rsoc", [([(ty, 1.0)], 0.0), ([], 0.5)]
-                  + [([(v, 1.0)], 0.0) for v in Y_ids])
-
-    box = []
-    for p in range(n2):
-        box.append(([(V_ids[p], 1.0), (Y_ids[p], -1.0)], 0.0))
-        box.append(([(V_ids[p], 1.0), (Y_ids[p], 1.0)], 0.0))
-    box.append(([(v, -1.0 / gamma) for v in V_ids], float(k1)))
-    tr_terms = [(W1.var(i, i), -0.5 / beta) for i in range(n)]
-    tr_terms += [(W2.var(i, i), -0.5 / beta) for i in range(n)]
-    box.append((tr_terms, float(k0)))
-    bld.add_block("nonneg", box)
-
-    exprs = []
-    for r in range(2 * n):
-        for c in range(2 * n):
-            if r < n and c < n:
-                exprs.append(([(W1.var(r, c), 1.0)], 0.0))
-            elif r < n <= c:
-                exprs.append(([(X_ids[r * n + (c - n)], 1.0)], 0.0))
-            elif c < n <= r:
-                exprs.append(([(X_ids[c * n + (r - n)], 1.0)], 0.0))
-            else:
-                exprs.append(([(W2.var(r - n, c - n), 1.0)], 0.0))
-    bld.add_block("psd", exprs)
-
-    return RelaxationModel(problem=bld.build(), constant=0.0, n=n,
-                           X_ids=X_ids, P_sym=None, Y_ids=Y_ids, scale=tau)
+    _add_square_epigraph(bld, t, D, (X, -1.0), (Y, -1.0))
+    _add_square_epigraph(bld, tx, np.zeros(n2), (X, 1.0))
+    _add_square_epigraph(bld, ty, np.zeros(n2), (Y, 1.0))
+    bld.add_cone("nonneg",
+                 np.r_[np.zeros(2 * n2), instance.k1, instance.k0],
+                 *_abs_box_terms(V, Y, 1.0), (2 * n2, V, -1.0 / gamma),
+                 (2 * n2 + 1, np.r_[np.diag(W1), np.diag(W2)], -0.5 / beta))
+    _add_psd_block(bld, W1, X, W2)
+    return RelaxationModel(problem=bld.build(), constant=0.0, X=X, Y=Y,
+                           scale=tau)
 
 
 def solve_lowrank_sdp(Dbar, k0: int, lam: float, tol: float = 1e-5):
@@ -492,14 +372,8 @@ def solve_lowrank_sdp(Dbar, k0: int, lam: float, tol: float = 1e-5):
         raise ValueError("k0 out of range")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    tau = float(np.abs(Dbar).max())
-    if tau <= 0:
-        tau = 1.0
-    bld = _ConeProgramBuilder()
-    X_ids, Th, P = _build_lowrank_core(bld, Dbar / tau, k0, lam)
-    model = RelaxationModel(problem=bld.build(), constant=bld.constant,
-                            n=n, X_ids=X_ids, P_sym=P, scale=tau)
-    res = model.solve(tol=tol)
+    res = _build_perspective(*_normalized(Dbar), k0, 0, lam, 0.0).solve(
+        tol=tol)
     return res.lower_bound, res.X_relax
 
 

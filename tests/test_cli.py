@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splr import linalg
-from splr.cli import main
+from splr.cli import build_parser, main
 
 
 def _write_matrix(path, A):
@@ -193,3 +195,21 @@ class TestBench:
         cfg_path.write_text("{not json")
         assert main(["bench", str(cfg_path),
                      "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def _readme_commands():
+    """The `splr ...` lines of the README's Command line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("splr ")]
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        commands = _readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "decompose", "bound", "bnb", "synth", "cv", "bench"]
+        for argv in commands:
+            build_parser().parse_args(argv)

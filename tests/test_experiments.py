@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from splr.experiments import (CSV_HEADER, compute_metrics, cross_validate,
-                              generate_instance, plot_results, run_experiment)
+from splr.altmin import alternating_minimization
+from splr.core import ProblemInstance
+from splr.experiments import (CSV_HEADER, am_cv_fit, compute_metrics,
+                              cross_validate, generate_instance, plot_results,
+                              run_experiment)
 
 
 class TestGenerateInstance:
@@ -104,6 +107,17 @@ class TestCrossValidate:
         grid = [(0.5, 0.5), (2.0, 2.0)]
         assert cross_validate(D, fit, grid, seed=9) == \
             cross_validate(D, fit, grid, seed=9)
+
+
+class TestAmCvFit:
+    def test_scales_budgets_to_the_block(self):
+        D = np.random.default_rng(12).standard_normal((6, 6))
+        X = am_cv_fit(k0=8, k1=20, n=10, eps=1e-3)(D, 0.5, 0.25)
+        # a 6 x 6 block of a 10 x 10 problem: k0 clamps to 6 and
+        # k1 = round(20 * 0.36) = 7
+        ref, _ = alternating_minimization(
+            ProblemInstance(D, 6, 7, 0.5, 0.25), eps=1e-3)
+        np.testing.assert_array_equal(X, ref.X)
 
 
 class TestComputeMetrics:

@@ -190,6 +190,45 @@ class TestPseudoinverse:
             linalg.pseudoinverse(np.eye(2), tol=0.0)
 
 
+# The cutoffs the package uses: alternating minimization's relative 1e-9,
+# ScaledGD's absolute 1e-2 and GoDec's numpy matrix_rank rule
+# max(M, N) * eps relative to the largest singular value.
+RANK_CUTOFFS = [dict(rtol=1e-9), dict(atol=1e-2),
+                dict(rtol=6 * np.finfo(float).eps)]
+
+
+class TestRankCount:
+    @pytest.mark.parametrize("cutoff", RANK_CUTOFFS)
+    def test_known_rank(self, cutoff):
+        rng = _rng(3)
+        for r in range(5):
+            A = rng.standard_normal((6, r)) @ rng.standard_normal((r, 5))
+            assert linalg.rank_count(A, **cutoff) == r
+            s = np.linalg.svd(A, compute_uv=False)
+            assert linalg.rank_count(s, **cutoff) == r
+
+    @pytest.mark.parametrize("cutoff", RANK_CUTOFFS)
+    def test_zero_matrix(self, cutoff):
+        assert linalg.rank_count(np.zeros((4, 3)), **cutoff) == 0
+
+    @pytest.mark.parametrize("cutoff", RANK_CUTOFFS)
+    def test_empty_spectrum(self, cutoff):
+        assert linalg.rank_count(np.zeros(0), **cutoff) == 0
+
+    def test_each_cutoff_on_one_spectrum(self):
+        s = np.array([1.0, 1e-3, 1e-12, 0.0])
+        assert [linalg.rank_count(s, **c) for c in RANK_CUTOFFS] == [2, 1, 3]
+        assert linalg.rank_count(s, rtol=1e-9, atol=1e-2) == 1
+
+    def test_eps_cutoff_matches_matrix_rank(self):
+        rng = _rng(4)
+        for r in range(1, 6):
+            A = rng.standard_normal((7, r)) @ rng.standard_normal((r, 6))
+            A[:, 0] *= 1e-14
+            assert linalg.rank_count(A, rtol=7 * np.finfo(float).eps) == \
+                np.linalg.matrix_rank(A)
+
+
 class TestMatrixCsv:
     def test_round_trip(self, tmp_path):
         A = _rng(10).standard_normal((3, 4))

@@ -1,5 +1,7 @@
 """Tests for the convex relaxation builders."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,14 @@ class TestLeeZou:
         with pytest.raises(ValueError):
             build_lee_zou_relaxation(_witness(), -1.0, 1.0)
 
+    def test_default_bounds_build_the_explicit_program(self):
+        D = np.random.default_rng(11).standard_normal((3, 3))
+        inst = ProblemInstance(D, 1, 2, 1.0, 1.0)
+        explicit = build_lee_zou_relaxation(
+            inst, float(np.linalg.norm(D, 2)), float(np.abs(D).max()))
+        assert _program_digest(build_lee_zou_relaxation(inst)) == \
+            _program_digest(explicit)
+
 
 class TestLowrankSdp:
     def test_diagonal(self):
@@ -206,3 +216,87 @@ class TestBoundGap:
     def test_rejects_nonpositive_upper(self):
         with pytest.raises(ValueError):
             bound_gap(0.0, -1.0)
+
+
+def _program_digest(model):
+    """sha256 of everything the cone solver reads from a built model."""
+    prob = model.problem
+    h = hashlib.sha256()
+    for arr in (prob.A.indptr.astype(np.int64), prob.A.indices.astype(np.int64),
+                prob.A.data, prob.b, prob.c,
+                np.array([model.constant, model.scale])):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr([(cone.kind, cone.dim) for cone in prob.cones]).encode())
+    return h.hexdigest()
+
+
+# Dyadic data (entries k/8, max |D| = 1) with explicit beta and gamma: no
+# LAPACK result and no rounding enters the programs, so the digests are
+# platform independent.
+_D_SYM = np.array([[1.0, -0.375, 0.5], [-0.375, 0.25, 0.125],
+                   [0.5, 0.125, -0.625]])
+_D_ASYM = np.array([[0.75, -0.375, 0.5], [0.125, -1.0, 0.25],
+                    [-0.5, 0.625, 0.375]])
+_ALL_ZERO = SparsityPattern(3, I0={(i, j) for i in range(3) for j in range(3)})
+
+
+def _golden_cases():
+    asym = ProblemInstance(_D_ASYM, 1, 3, 0.5, 0.25)
+    sym = ProblemInstance(_D_SYM, 2, 2, 0.5, 1.0)
+    lowrank_asym = ProblemInstance(_D_ASYM, 2, 0, 0.5, 0.25)
+    lowrank_sym = ProblemInstance(_D_SYM, 1, 0, 0.25, 0.5)
+    pins = SparsityPattern(3, I0={(0, 1), (2, 0)}, I1={(1, 1)})
+    return {
+        "perspective": lambda: build_perspective_relaxation(asym),
+        "perspective_pins": lambda: build_perspective_relaxation(asym, pins),
+        "perspective_rho": lambda: build_perspective_relaxation(
+            asym, rho1=0.5, rho2=0.25),
+        "perspective_k1_zero": lambda: build_perspective_relaxation(
+            lowrank_asym),
+        "perspective_all_zero": lambda: build_perspective_relaxation(
+            lowrank_sym, _ALL_ZERO),
+        "strengthened_sym": lambda: build_strengthened_relaxation(
+            sym, beta=2.0, gamma=1.0),
+        "strengthened_asym": lambda: build_strengthened_relaxation(
+            asym, beta=1.5, gamma=0.75, pattern=pins),
+        "strengthened_sym_lowrank": lambda: build_strengthened_relaxation(
+            lowrank_sym, beta=2.0, gamma=1.0),
+        "strengthened_asym_lowrank": lambda: build_strengthened_relaxation(
+            lowrank_asym, beta=1.5, gamma=0.75),
+        "lee_zou": lambda: build_lee_zou_relaxation(asym, 1.5, 0.75),
+    }
+
+
+_GOLDEN_DIGESTS = {
+    "lee_zou":
+        "b49b4beccec0d755c52f3e7abfc12debfe927644e7e188e5f467b7ad0746543b",
+    "perspective":
+        "f367377ec0b8cc03aaba46828ef38f8edc78fb2a243edd0cd7bf2668132b166e",
+    "perspective_all_zero":
+        "d83e733e95a5515b55604e396a8af32beb1667e8bb32999cf103abd7f16d9241",
+    "perspective_k1_zero":
+        "5c7b918564d0a3c3749bb8b7f852e1bfb5667ce2739674a19ed7d06edc5acc70",
+    "perspective_pins":
+        "2ef048c649cc45fceaebb8d2b6ecd4b3c8f8ea58226fb1d2f18aba9bb1a396f4",
+    "perspective_rho":
+        "bdee5715c0f878d33fa81ce8c336f49f57a768e20853c7d5f3548a96c9a11951",
+    "strengthened_asym":
+        "4ad57c110b8f0ba25b9cfa63463457bb410306a3ff2b5b9f999bbfc30c518f86",
+    "strengthened_asym_lowrank":
+        "d81f4922ae6babf4ad522d098651e47244449f182e9a862446a885c844f65db2",
+    "strengthened_sym":
+        "11340a338af09ea67fe31e9c7345530e8bc1ef055c50ce0de83475737005a30d",
+    "strengthened_sym_lowrank":
+        "9c29a1083b80bec3b225935dbca2ccdd11552f45d934a984ee37189112a6dc7e",
+}
+
+
+class TestGoldenPrograms:
+    """The built cone programs are pinned bit for bit: moving a row, a cone
+    or a coefficient changes ADMM's rounding, and with it Z_fractional and
+    the branching of branch-and-bound."""
+
+    @pytest.mark.parametrize("case", sorted(_golden_cases()))
+    def test_digest(self, case):
+        assert _program_digest(_golden_cases()[case]()) == \
+            _GOLDEN_DIGESTS[case]
