@@ -72,24 +72,25 @@ def solve_lowrank_subproblem(Dbar, k0: int, lam: float,
     The minimizer is the rank-k0 truncation of Dbar scaled by 1/(1+lam).
     svd_mode 'randomized' uses the sketched SVD (seed-deterministic).
     """
-    X, _ = _lowrank_step(Dbar, k0, lam, svd_mode, seed)
-    return X
+    return _lowrank_step(Dbar, k0, lam, svd_mode, seed)[0]
 
 
 def _lowrank_step(Dbar, k0: int, lam: float, svd_mode: str, seed: int = 0,
-                  power_iters: int = 2):
-    """Low-rank update returning (X, kept singular values of Dbar)."""
+                  start=None):
+    """Low-rank update returning (X, kept singular values of Dbar, right
+    vectors of X). In randomized mode the row space searched contains the
+    columns of start."""
     Dbar = np.asarray(Dbar, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if svd_mode == "randomized":
-        fact = linalg.randomized_svd(Dbar, k0, power_iters=power_iters,
-                                     seed=seed)
+        fact = linalg.randomized_svd(Dbar, k0, seed=seed, start=start)
     elif svd_mode == "exact":
         fact = linalg.truncated_svd(Dbar, k0)
     else:
         raise ValueError(f"unknown svd_mode {svd_mode!r}")
-    return fact.reconstruct() / (1.0 + lam), fact.singular_values
+    return (fact.reconstruct() / (1.0 + lam), fact.singular_values,
+            fact.right_vectors)
 
 
 def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
@@ -124,9 +125,10 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     objective hits zero, or the iteration cap is reached. The cap is the
     smaller of max_iters and the analytic worst-case bound.
 
-    svd_mode 'randomized' sketches the SVD every iteration except the last,
-    which reruns exactly; if a sketched update would increase the objective
-    the exact update is used for that iteration instead.
+    svd_mode 'randomized' fits X over a sketched row space that contains
+    the previous X's right vectors, so the previous X stays a candidate and
+    the objective cannot rise; one exact pass after the loop makes the
+    returned X a true minimizer for the final Y.
 
     Returns (SlrSolution, AmTrace). The trace is non-increasing.
     """
@@ -149,66 +151,44 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
 
     cap = min(max_iters, math.ceil(iteration_bound(lam, mu, eps)))
     trace = AmTrace()
-    f_prev = objective(instance, X, Y)
-    trace.objective_values.append(f_prev)
-    reason = "max-iters"
-    randomized = svd_mode == "randomized"
-    sv_final = None
-
+    f = objective(instance, X, Y)
+    trace.objective_values.append(f)
+    # rank_count reads X itself until an SVD step gives its spectrum
+    sv, V = X, None
     t = 0
-    while t < cap:
-        if f_prev == 0.0:
-            reason = "zero-objective"
-            break
+    while t < cap and f != 0.0:
         t += 1
-        Y_new = solve_sparse_subproblem(D - X, k1, mu, pattern)
-        Dbar = D - Y_new
-        if randomized:
-            X_new, sv = _lowrank_step(Dbar, k0, lam, "randomized",
-                                      seed=seed + t)
-            f_t = objective(instance, X_new, Y_new)
-            if f_t > f_prev:
-                # refine the sketch before resorting to an exact pass
-                X_new, sv = _lowrank_step(Dbar, k0, lam, "randomized",
-                                          seed=seed + t, power_iters=6)
-                f_t = objective(instance, X_new, Y_new)
-            if f_t > f_prev:
-                X_new, sv = _lowrank_step(Dbar, k0, lam, "exact")
-                f_t = objective(instance, X_new, Y_new)
-        else:
-            X_new, sv = _lowrank_step(Dbar, k0, lam, "exact")
-            f_t = objective(instance, X_new, Y_new)
-        X, Y = X_new, Y_new
-        sv_final = sv
-        trace.objective_values.append(f_t)
-        if f_t == 0.0:
-            f_prev = f_t
-            reason = "zero-objective"
+        Y_t = solve_sparse_subproblem(D - X, k1, mu, pattern)
+        X_t, sv_t, V_t = _lowrank_step(D - Y_t, k0, lam, svd_mode,
+                                       seed + t, V)
+        f_prev, f_t = f, objective(instance, X_t, Y_t)
+        # after the first iteration the current (X, Y) is a candidate for
+        # both steps, so only rounding can raise f: keep the current pair
+        if t > 1 and f_t > f:
             break
-        if (f_prev - f_t) / f_t < eps:
-            f_prev = f_t
-            reason = "relative-gap"
+        X, Y, sv, V, f = X_t, Y_t, sv_t, V_t, f_t
+        trace.objective_values.append(f)
+        if f == 0.0 or (f_prev - f) / f < eps:
             break
-        f_prev = f_t
-
-    if randomized and t > 0:
-        # final pass with exact SVD so the returned X is a true subproblem
-        # minimizer for the final Y
-        X_exact, sv_exact = _lowrank_step(D - Y, k0, lam, "exact")
-        f_exact = objective(instance, X_exact, Y)
-        if f_exact <= f_prev:
-            X = X_exact
-            sv_final = sv_exact
-            f_prev = f_exact
-            trace.objective_values.append(f_exact)
-
     trace.iterations = t
-    trace.converged_reason = reason
+    if f == 0.0 and cap > 0:
+        trace.converged_reason = "zero-objective"
+    elif t and (f_prev - f) / f < eps:
+        trace.converged_reason = "relative-gap"
+    else:
+        trace.converged_reason = "max-iters"
+
+    if svd_mode == "randomized" and t > 0:
+        X_exact, sv_exact, _ = _lowrank_step(D - Y, k0, lam, "exact")
+        f_exact = objective(instance, X_exact, Y)
+        if f_exact <= f:
+            X, sv, f = X_exact, sv_exact, f_exact
+            trace.objective_values.append(f)
+
     # after an SVD step X is a positive multiple of a truncated SVD, so the
     # kept singular values give its rank without another SVD
-    rank_x = linalg.rank_count(X if sv_final is None else sv_final,
-                               rtol=1e-9)
-    sol = SlrSolution(X=X, Y=Y, objective=f_prev, rank_of_X=rank_x,
+    sol = SlrSolution(X=X, Y=Y, objective=f,
+                      rank_of_X=linalg.rank_count(sv, rtol=1e-9),
                       nnz_of_Y=int(np.count_nonzero(Y)))
     sol.feasible = sol.rank_of_X <= k0 and sol.nnz_of_Y <= k1
     return sol, trace

@@ -2,10 +2,11 @@
 
 Nodes carry partial patterns (forced-zero set I0, forced-support set I1).
 Each explored node gets a lower bound from the pattern-constrained
-perspective relaxation and an upper bound from pattern-constrained
-alternating minimization; branching fixes the most fractional entry of the
-relaxation's support matrix Z. Best-bound node selection with FIFO
-tie-breaking keeps the search deterministic.
+perspective relaxation. Upper bounds come from alternating minimization:
+once unconstrained at the root, then at each unpruned node whose pattern
+is complete (the support is fixed). Branching fixes the most fractional
+entry of the relaxation's support matrix Z. Best-bound node selection with
+FIFO tie-breaking keeps the search deterministic.
 """
 
 from __future__ import annotations
@@ -45,22 +46,13 @@ class BnbResult:
 def select_branch_entry(Z_fractional, pattern: SparsityPattern):
     """Most-fractional branching: the free index minimizing |Z_ij - 0.5|,
     ties broken in row-major order."""
-    Z = np.asarray(Z_fractional, dtype=float)
-    n = Z.shape[0]
+    score = np.abs(np.asarray(Z_fractional, dtype=float) - 0.5)
     taken = pattern.I0 | pattern.I1
-    best = None
-    best_score = math.inf
-    for i in range(n):
-        for j in range(n):
-            if (i, j) in taken:
-                continue
-            score = abs(Z[i, j] - 0.5)
-            if score < best_score:
-                best_score = score
-                best = (i, j)
-    if best is None:
+    if len(taken) == score.size:
         raise ValueError("pattern is complete; nothing to branch on")
-    return best
+    if taken:
+        score[tuple(zip(*taken))] = np.inf
+    return divmod(int(np.argmin(score)), score.shape[1])
 
 
 def _solve_node_bound(instance, pattern, tol):

@@ -36,24 +36,6 @@ def _as_matrix(A) -> np.ndarray:
     return A
 
 
-def sym_eig(A) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns (eigenvalues, eigenvectors) with A = Q diag(w) Q.T.
-    Raises ValueError for non-square or asymmetric input.
-    """
-    A = _as_matrix(A)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"matrix is not square: {A.shape}")
-    scale = max(1.0, np.abs(A).max()) if A.size else 1.0
-    if np.abs(A - A.T).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric to 1e-12")
-    w, Q = np.linalg.eigh(0.5 * (A + A.T))
-    order = np.argsort(-w, kind="stable")
-    return w[order], Q[:, order]
-
-
 def truncated_svd(A, k: int) -> SpectralFactorization:
     """Leading-k singular triplets of A.
 
@@ -67,28 +49,32 @@ def truncated_svd(A, k: int) -> SpectralFactorization:
     return SpectralFactorization(s[:k].copy(), U[:, :k].copy(), Vt[:k].T.copy())
 
 
-def randomized_svd(A, k: int, oversampling: int = 10, power_iters: int = 2,
-                   seed: int = 0) -> SpectralFactorization:
-    """Randomized range-finder SVD (Gaussian sketch + power iterations).
+def randomized_svd(A, k: int, seed: int = 0,
+                   start=None) -> SpectralFactorization:
+    """Best rank-k fit of A over a sketched row space.
 
-    Deterministic for a fixed seed. Requires k + oversampling <= min(shape).
+    A Gaussian sketch of k + 10 columns (at most min(shape)) and two power
+    iterations give an orthonormal range basis Q; the row space searched is
+    W = qr([start, A.T Q]), and the result is the truncated SVD of A W with
+    right vectors W Vb. Every matrix C W.T of rank <= k fits A no better, so
+    a start holding the right vectors of a previous fit can only be
+    improved on. The start is added after the power iterations, which
+    would wash it out. Deterministic for a fixed seed.
     """
     A = _as_matrix(A)
     if not 1 <= k <= min(A.shape):
         raise ValueError(f"k={k} out of range for shape {A.shape}")
-    n_samples = k + oversampling
-    if n_samples > min(A.shape):
-        n_samples = min(A.shape)
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((A.shape[1], n_samples))
+    G = rng.standard_normal((A.shape[1], min(k + 10, min(A.shape))))
     Q, _ = np.linalg.qr(A @ G)
-    for _ in range(power_iters):
+    for _ in range(2):
         Q, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Q)
-    B = Q.T @ A
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    return SpectralFactorization(s[:k].copy(), (Q @ Ub[:, :k]).copy(),
-                                 Vt[:k].T.copy())
+    R = A.T @ Q
+    W, _ = np.linalg.qr(R if start is None else np.hstack([start, R]))
+    Ub, s, Vt = np.linalg.svd(A @ W, full_matrices=False)
+    return SpectralFactorization(s[:k].copy(), Ub[:, :k].copy(),
+                                 W @ Vt[:k].T)
 
 
 def top_k_abs_select(M, k: int, forced_zero=(), forced_keep=()) -> np.ndarray:

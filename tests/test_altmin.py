@@ -222,6 +222,47 @@ class TestAlternatingMinimization:
             assert all(fv[i + 1] <= fv[i] for i in range(len(fv) - 1))
             assert sol.feasible
 
+    def test_randomized_trace_monotone_to_convergence(self):
+        # at eps=1e-12 the loop runs until successive sketched steps agree
+        # to rounding; k1=0 keeps D - Y fixed, where they agree exactly
+        rng = _rng(12)
+        for seed in range(40):
+            n = int(rng.integers(2, 16))
+            k1 = 0 if seed % 2 else int(rng.integers(1, n * n + 1))
+            inst = ProblemInstance(rng.standard_normal((n, n)),
+                                   int(rng.integers(1, n + 1)), k1, 0.1, 0.1)
+            _, trace = alternating_minimization(inst, eps=1e-12,
+                                                svd_mode="randomized",
+                                                seed=seed)
+            fv = trace.objective_values
+            assert all(b <= a for a, b in zip(fv, fv[1:])), seed
+
+    def test_randomized_mode_svd_calls(self, monkeypatch):
+        # one sketched SVD per iteration and one exact SVD per run: the
+        # final pass after the loop
+        calls = {}
+
+        def count(name):
+            svd = getattr(linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return svd(*args, **kwargs)
+            monkeypatch.setattr(linalg, name, counted)
+        count("randomized_svd")
+        count("truncated_svd")
+        rng = _rng(13)
+        for seed in range(4):
+            calls.update(randomized_svd=0, truncated_svd=0)
+            inst = ProblemInstance(rng.standard_normal((30, 30)), 3, 40,
+                                   0.1, 0.1)
+            _, trace = alternating_minimization(inst, eps=1e-8,
+                                                svd_mode="randomized",
+                                                seed=seed)
+            assert trace.iterations > 1
+            assert calls == {"randomized_svd": trace.iterations,
+                             "truncated_svd": 1}
+
     def test_pattern_respected(self):
         inst = ProblemInstance(_rng(10).standard_normal((4, 4)), 1, 2,
                                1.0, 1.0)

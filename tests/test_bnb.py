@@ -26,6 +26,13 @@ class TestSelectBranchEntry:
         pattern = SparsityPattern(2, I0=frozenset(taken))
         assert select_branch_entry(Z, pattern) == (1, 1)
 
+    def test_forced_cells_skipped_in_both_sets(self):
+        # the two most fractional cells are fixed, one in I0 and one in
+        # I1; the remaining tie between (1, 0) and (2, 2) goes row-major
+        Z = np.array([[0.5, 0.9, 1.0], [0.4, 0.5, 0.0], [0.0, 1.0, 0.6]])
+        pattern = SparsityPattern(3, I0={(0, 0)}, I1={(1, 1)})
+        assert select_branch_entry(Z, pattern) == (1, 0)
+
     def test_complete_pattern_rejected(self):
         cells = {(i, j) for i in range(2) for j in range(2)}
         pattern = SparsityPattern(2, I0=frozenset(cells))

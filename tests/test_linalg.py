@@ -13,40 +13,6 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-class TestSymEig:
-    def test_identity(self):
-        w, Q = linalg.sym_eig(np.eye(2))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-
-    def test_diagonal(self):
-        w, Q = linalg.sym_eig(np.diag([3.0, -1.0]))
-        np.testing.assert_allclose(w, [3.0, -1.0])
-        np.testing.assert_allclose(np.abs(Q), np.eye(2), atol=1e-12)
-
-    def test_two_by_two(self):
-        # characteristic polynomial of [[2,1],[1,2]]: (2-w)^2 - 1 = 0
-        w, _ = linalg.sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(w, [3.0, 1.0], atol=1e-12)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = _rng(1)
-        for n in (2, 5, 9):
-            G = rng.standard_normal((n, n))
-            A = G + G.T
-            w, Q = linalg.sym_eig(A)
-            np.testing.assert_allclose((Q * w) @ Q.T, A, atol=1e-8)
-            np.testing.assert_allclose(Q.T @ Q, np.eye(n), atol=1e-10)
-            assert np.all(np.diff(w) <= 1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            linalg.sym_eig(np.ones((2, 3)))
-
-
 class TestTruncatedSvd:
     def test_diagonal(self):
         f = linalg.truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
@@ -109,6 +75,24 @@ class TestRandomizedSvd:
         f2 = linalg.randomized_svd(A, 4, seed=7)
         np.testing.assert_array_equal(f1.singular_values, f2.singular_values)
         np.testing.assert_array_equal(f1.left_vectors, f2.left_vectors)
+
+    def test_start_space_is_never_worse(self):
+        # (A V)_k V.T is the best rank-k fit with rows in span(V); a fit
+        # over a row space that contains V is never worse. With V the
+        # exact right vectors that best fit is the exact truncation.
+        rng = _rng(11)
+        for m, n, k, p in [(30, 30, 3, 3), (40, 25, 5, 2), (25, 40, 4, 6),
+                           (60, 60, 1, 1), (8, 8, 8, 8)]:
+            A = rng.standard_normal((m, n))
+            V_random, _ = np.linalg.qr(rng.standard_normal((n, p)))
+            for V in (V_random, linalg.truncated_svd(A, k).right_vectors):
+                fit = linalg.truncated_svd(A @ V, min(k, V.shape[1]))
+                best_in_start = fit.reconstruct() @ V.T
+                f = linalg.randomized_svd(A, k, seed=3, start=V)
+                err = np.linalg.norm(A - f.reconstruct())
+                assert err <= np.linalg.norm(A - best_in_start) * (1 + 1e-12)
+                np.testing.assert_allclose(
+                    f.right_vectors.T @ f.right_vectors, np.eye(k), atol=1e-10)
 
 
 class TestTopKAbsSelect:
@@ -263,12 +247,3 @@ def test_topk_cardinality_property(seed, n, k):
     S = linalg.top_k_abs_select(M, k)
     assert S.sum() == k
     assert set(np.unique(S)) <= {0.0, 1.0}
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8))
-def test_sym_eig_reconstruction_property(seed, n):
-    G = np.random.default_rng(seed).standard_normal((n, n))
-    A = G + G.T
-    w, Q = linalg.sym_eig(A)
-    assert np.linalg.norm((Q * w) @ Q.T - A) <= 1e-8 * max(1.0, np.linalg.norm(A))
