@@ -37,6 +37,8 @@ for name, res in bounds.items():
 res = branch_and_bound(inst, eps=0.01)
 print(f"\nbranch-and-bound: ub {res.upper_bound:.6f}, "
       f"lb {res.lower_bound:.6f}, {res.nodes_explored} nodes")
+print(f"stop reason {res.stop_reason}; {res.fathomed} node solves ended "
+      "early, once their certified bound fathomed the node")
 print(f"certified within {100 * bound_gap(res.upper_bound, res.lower_bound):.2f}%")
 support = sorted((int(i), int(j)) for i, j in zip(*np.nonzero(res.incumbent.Y)))
 print(f"sparse support found: {support}")

@@ -1,12 +1,18 @@
 """Branch-and-bound over sparsity patterns.
 
 Nodes carry partial patterns (forced-zero set I0, forced-support set I1).
-Each explored node gets a lower bound from the pattern-constrained
-perspective relaxation. Upper bounds come from alternating minimization:
-once unconstrained at the root, then at each unpruned node whose pattern
-is complete (the support is fixed). Branching fixes the most fractional
-entry of the relaxation's support matrix Z. Best-bound node selection with
-FIFO tie-breaking keeps the search deterministic.
+Each explored node gets a certified lower bound from the pattern-constrained
+perspective relaxation: a dual bound over the relaxed points that could
+beat the incumbent, valid at any ADMM iterate, so every bound the search
+prunes on, hands to a child, settles or returns holds whether or not the
+solver converged. A node's solve stops as soon as that bound reaches
+(1 - eps) times the incumbent value: the node is then fathomed, since it
+is either pruned or its subtree can no longer keep the gap above eps.
+Upper bounds come from alternating minimization: once unconstrained at the
+root, then at each unpruned node whose pattern is complete (the support is
+fixed). Branching fixes the most fractional entry of the relaxation's
+support matrix Z. Best-bound node selection with FIFO tie-breaking keeps
+the search deterministic.
 """
 
 from __future__ import annotations
@@ -34,13 +40,24 @@ class BnbNode:
 
 @dataclass
 class BnbResult:
+    """stop_reason: 'gap' (the gap fell to eps), 'exhausted' (the queue
+    emptied with the gap above eps) or 'node_limit'. fathomed counts the
+    node solves ended by their stop target, uncertified the nodes whose
+    bound was not finite (they keep their parent's bound)."""
+
     incumbent: SlrSolution
     lower_bound: float
     upper_bound: float
     nodes_explored: int
     gap: float
+    stop_reason: str
+    fathomed: int
+    uncertified: int
     bound_history: list = field(default_factory=list)
-    truncated: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop_reason == "node_limit"
 
 
 def select_branch_entry(Z_fractional, pattern: SparsityPattern):
@@ -55,21 +72,14 @@ def select_branch_entry(Z_fractional, pattern: SparsityPattern):
     return divmod(int(np.argmin(score)), score.shape[1])
 
 
-def _solve_node_bound(instance, pattern, tol):
-    model = build_perspective_relaxation(instance, pattern)
-    res = model.solve(tol=tol)
-    # shift down so pruning stays sound under inexact solves
-    lb = res.lower_bound - tol * (1.0 + abs(res.lower_bound))
-    return lb, res
-
-
 def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
                      node_limit: int = 100000, solver_tol: float = 1e-5,
                      am_eps: float = 1e-6) -> BnbResult:
     """Certify a near-optimal decomposition by enumerating sparsity patterns.
 
     Terminates when (ub - lb)/ub <= eps, the tree is exhausted, or
-    node_limit nodes have been explored (then truncated=True).
+    node_limit nodes have been explored (then truncated=True);
+    stop_reason says which.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -84,28 +94,36 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
     heap = [(-math.inf, 0, root)]
     counter = 1
     settled_lbs = []   # lower bounds of fully solved (terminal) patterns
-    nodes_explored = 0
+    nodes_explored = fathomed = uncertified = 0
     history = []
-    truncated = False
 
     def global_lb():
         cands = [e[0] for e in heap] + settled_lbs
         return min(cands) if cands else ub
 
-    while heap:
+    while True:
         lb_all = global_lb()
-        if ub > 0 and bound_gap(ub, max(lb_all, 0.0)) <= eps:
+        if lb_all >= ub or (ub > 0
+                            and bound_gap(ub, max(lb_all, 0.0)) <= eps):
+            stop_reason = "gap"
             break
-        if lb_all >= ub:
+        if not heap:
+            stop_reason = "exhausted"
             break
         if nodes_explored >= node_limit:
-            truncated = True
+            stop_reason = "node_limit"
             break
         _, _, node = heapq.heappop(heap)
         nodes_explored += 1
 
-        lb_node, res = _solve_node_bound(instance, node.pattern, solver_tol)
-        lb_node = max(lb_node, node.lower_bound)
+        model = build_perspective_relaxation(instance, node.pattern)
+        res = model.solve(tol=solver_tol, upper_bound=ub,
+                          stop_at=(1.0 - eps) * ub if ub > 0 else None)
+        fathomed += res.solver_status == "bound-reached"
+        uncertified += not math.isfinite(res.certified_bound)
+        # no relaxed point in this subtree beats ub, or every one of them
+        # has objective >= the certificate
+        lb_node = max(min(ub, res.certified_bound), node.lower_bound)
         node.lower_bound = lb_node
         if lb_node >= ub:
             history.append((nodes_explored, ub, global_lb(),
@@ -145,7 +163,8 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
     gap = bound_gap(ub, max(lb_final, 0.0)) if ub > 0 else 0.0
     return BnbResult(incumbent=incumbent, lower_bound=lb_final,
                      upper_bound=ub, nodes_explored=nodes_explored,
-                     gap=gap, bound_history=history, truncated=truncated)
+                     gap=gap, bound_history=history, stop_reason=stop_reason,
+                     fathomed=fathomed, uncertified=uncertified)
 
 
 def exhaustive_oracle(instance: ProblemInstance, n_starts: int = 3,

@@ -93,6 +93,7 @@ def cmd_bnb(args) -> int:
     print(f"gap {result.gap:.6f}")
     print(f"nodes explored {result.nodes_explored}"
           + (" (truncated)" if result.truncated else ""))
+    print(f"stop reason {result.stop_reason}")
     return 0
 
 

@@ -26,6 +26,7 @@ becomes the CSR constraint matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,11 @@ class RelaxationResult:
     X_relax: np.ndarray
     Y_relax: np.ndarray
     solver_status: str
+    # lower bound on the objective of every relaxed point whose objective
+    # is at most the upper bound given to solve, so min(upper bound,
+    # certified_bound) bounds the relaxation at any iterate; -inf when
+    # there was no upper bound or the model has no box
+    certified_bound: float
 
 
 @dataclass
@@ -115,7 +121,9 @@ class RelaxationModel:
 
     The program is built on D/scale (unit-magnitude data keeps the ADMM
     iterates well conditioned); bounds scale back by scale^2 and the
-    matrix variables by scale.
+    matrix variables by scale. box, when the model has one, maps a cap on
+    c'x to bounds (lo, hi) on every variable of a feasible point with
+    c'x <= cap.
     """
 
     problem: ConicProblem
@@ -125,19 +133,40 @@ class RelaxationModel:
     Y: np.ndarray = None
     Z: np.ndarray = None
     scale: float = 1.0
+    box: Callable[[float], tuple] | None = None
 
-    def solve(self, tol: float = 1e-5, max_iters: int = 50000) -> RelaxationResult:
-        sol = solve_conic(self.problem, tol=tol, max_iters=max_iters)
+    def solve(self, tol: float = 1e-5, max_iters: int = 50000,
+              upper_bound: float | None = None,
+              stop_at: float | None = None) -> RelaxationResult:
+        """Solve the program. Given an upper_bound U on the objective of
+        the points of interest (an incumbent's value), certify a lower
+        bound over the relaxed points with objective <= U; given stop_at
+        as well, stop once that bound reaches stop_at (status
+        'bound-reached'). Both are in the caller's units."""
+        tau2 = self.scale * self.scale
+
+        def model_units(value):
+            return None if value is None else value / tau2 - self.constant
+
+        box = None
+        if upper_bound is not None and self.box is not None:
+            box = self.box(model_units(upper_bound))
+        sol = solve_conic(self.problem, tol=tol, max_iters=max_iters,
+                          box=box, stop_at=model_units(stop_at))
         x, tau = sol.x, self.scale
 
         def read(ids):
             return np.zeros(self.X.shape) if ids is None else x[ids]
 
+        # rounding of the shift back to caller units: a few ulps
+        cert = (sol.certified_bound + self.constant) * tau2 - 4 * tau2 * \
+            math.ulp(abs(sol.certified_bound) + abs(self.constant))
         return RelaxationResult(
             lower_bound=float(sol.objective + self.constant) * tau * tau,
             Z_fractional=np.clip(read(self.Z), 0.0, 1.0),
             P_fractional=read(self.P), X_relax=tau * read(self.X),
-            Y_relax=tau * read(self.Y), solver_status=sol.status)
+            Y_relax=tau * read(self.Y), solver_status=sol.status,
+            certified_bound=cert)
 
 
 def _add_trace_budget(bld, P, k0):
@@ -229,7 +258,18 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
     """The perspective relaxation of unit-scale D, optionally with the
     strengthening (beta, gamma). When Y vanishes it is the linearized
     low-rank model: objective ||D||^2 - 2<D, X> + (1+lam)*tr(Theta) under
-    the trace budget and the blocks, with no residual, Z or penalties."""
+    the trace budget and the blocks, with no residual, Z or penalties.
+
+    The model's box bounds every variable of a point whose objective is
+    at most U. Z, P and Pr lie in [-1, 1] (0 <= Z <= 1, 0 <= P <= I), and
+    Z, t, alpha and the diagonals of Theta and P are nonnegative. The
+    [[Theta, X], [X', P]] block with P <= I gives Theta >= XX', so
+    ||X||^2 <= tr(Theta) and |Theta_ij| <= tr(Theta). In the general
+    model every objective term is nonnegative (the penalties and the
+    strengthening included), so t <= U, tr(Theta) <= U/lam and
+    alpha_ij <= U/mu, with Y_ij^2 <= alpha_ij. In the low-rank model
+    q = sqrt(tr(Theta)) has ||D||^2 - 2 ||D|| q + (1+lam) q^2 <= U, which
+    bounds q by the root s below."""
     n = len(D)
     lowrank = k1 == 0 or (pattern is not None and len(pattern.I0) == n * n)
     bld = _ConeProgramBuilder()
@@ -281,8 +321,27 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
                          *_abs_box_terms(Z, Y, gamma))
         _add_psd_block(bld, _row_projection(bld, D, P, k0), X, P,
                        scale=beta)
+
+    def box(cap):
+        lo, hi = np.full(bld.nvars, -1.0), np.ones(bld.nvars)
+        if lowrank:
+            nD, U = math.sqrt(bld.constant), cap + bld.constant
+            s = (nD + math.sqrt(max(0.0, (1 + lam) * U - lam * nD * nD))) \
+                / (1 + lam)
+            caps = [(X, s), (Th, s * s)]
+        else:
+            cap = max(cap, 0.0)
+            caps = [(t, cap), (alpha, cap / mu), (Y, math.sqrt(cap / mu)),
+                    (X, math.sqrt(cap / lam)), (Th, cap / lam)]
+        for ids, u in caps:
+            lo[ids], hi[ids] = -u, u
+        nonneg = [np.diag(Th), np.diag(P)] + ([] if lowrank else [t, alpha, Z])
+        for ids in nonneg:
+            lo[ids] = 0.0
+        return lo, hi
+
     return RelaxationModel(problem=bld.build(), constant=bld.constant, X=X,
-                           P=P, Y=Y, Z=Z, scale=tau)
+                           P=P, Y=Y, Z=Z, scale=tau, box=box)
 
 
 def build_perspective_relaxation(instance: ProblemInstance,
@@ -296,6 +355,8 @@ def build_perspective_relaxation(instance: ProblemInstance,
     by penalty terms rho1*tr(P) + rho2*<E, Z> in the objective.
     """
     _check_pattern(instance, pattern)
+    if min(rho1 or 0.0, rho2 or 0.0) < 0:
+        raise ValueError("rho1 and rho2 must be nonnegative")
     D, tau = _normalized(instance.D)
     rho1, rho2 = (None if rho is None else rho / (tau * tau)
                   for rho in (rho1, rho2))

@@ -9,6 +9,7 @@ from splr.altmin import SparsityPattern, alternating_minimization, \
     solve_lowrank_subproblem
 from splr.bnb import branch_and_bound, exhaustive_oracle, select_branch_entry
 from splr.core import ProblemInstance, objective
+from splr.experiments import generate_instance
 
 
 class TestSelectBranchEntry:
@@ -133,6 +134,37 @@ class TestBranchAndBound:
         res = branch_and_bound(inst, eps=0.0, node_limit=1)
         assert res.truncated
         assert res.nodes_explored == 1
+        assert res.stop_reason == "node_limit"
+
+    def test_stop_reason_gap_on_the_witness(self):
+        res = branch_and_bound(ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0),
+                               eps=0.05)
+        assert res.stop_reason == "gap"
+        assert res.fathomed == 1
+        assert not res.truncated
+
+    def test_certified_bounds_on_criterion_4(self):
+        # runs ended by the gap test are within eps; lam=mu=0.5, sigma=1,
+        # seed 0 empties its queue at gap 0.041, held open by a settled
+        # complete-pattern leaf whose relaxation stays below the incumbent
+        fathomed = 0
+        for lm in (0.5, 1.0):
+            for sigma in (1, 10):
+                for seed in range(5):
+                    inst = ProblemInstance(
+                        generate_instance(4, 1, 2, sigma, seed).D,
+                        1, 2, lm, lm)
+                    res = branch_and_bound(inst, eps=0.01)
+                    assert res.uncertified == 0
+                    assert res.lower_bound <= res.upper_bound
+                    assert res.stop_reason in ("gap", "exhausted")
+                    if res.stop_reason == "gap":
+                        assert res.gap <= 0.01
+                    fathomed += res.fathomed
+                    if (lm, sigma, seed) == (0.5, 1, 0):
+                        assert res.stop_reason == "exhausted"
+                        assert res.gap == pytest.approx(0.04117, abs=1e-3)
+        assert fathomed > 0
 
     def test_incumbent_objective_consistent(self):
         rng = np.random.default_rng(8)

@@ -95,6 +95,7 @@ class TestBnbCommand:
                      "--lam", "1.0", "--mu", "1.0", "--eps", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "nodes explored 1" in out
+        assert out.splitlines()[-1] == "stop reason gap"
 
     def test_trace_csv(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -112,7 +113,9 @@ class TestBnbCommand:
         mat = _write_matrix(tmp_path / "d.csv", rng.standard_normal((3, 3)))
         assert main(["bnb", mat, "--k0", "1", "--k1", "2",
                      "--eps", "0.0", "--node-limit", "1"]) == 0
-        assert "(truncated)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(truncated)" in out
+        assert out.splitlines()[-1] == "stop reason node_limit"
 
 
 class TestSynth:

@@ -262,3 +262,71 @@ class TestDumpJson:
         assert data["shape"] == [1, 1]
         assert data["cones"] == [["nonneg", 1]]
         assert data["A_triplets"] == [[0, 0, -1.0]]
+
+
+def _certificate_corpus():
+    """(program, optimum, box) triples: psd with a pinned entry, rsoc with
+    pinned rows (their zero-cone duals are negative at the optimum) and a
+    two-variable LP."""
+    psd = _problem([1.0, 0.0, 0.0, 1.0],
+                   [[-1.0, 0, 0, 0], [-1.0, 0, 0, 0], [0, -1.0, 0, 0],
+                    [0, 0, -1.0, 0], [0, 0, 0, -1.0]],
+                   [-1.0, 0, 0, 0, 0], [zero_cone(1), psd_cone(2)])
+    rsoc = _problem([1.0, 0.0, 0.0],
+                    [[-1.0, 0, 0], [0, -0.5, 0], [0, 0, -1.0],
+                     [0, -1.0, 0], [0, 0, -1.0]],
+                    [0, 0, 0, -1.0, -2.0], [rsoc_cone(3), zero_cone(2)])
+    lp = _problem([1.0, 2.0], [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
+                  [-1.0, -1.0, -3.0], [nonneg_cone(3)])
+    return [(psd, 1.0, (-5.0, 5.0)),
+            (rsoc, 4.0, (np.zeros(3), np.array([10.0, 3.0, 3.0]))),
+            (lp, 4.0, (0.0, 10.0))]
+
+
+class TestCertificate:
+    def test_box_never_changes_the_solve(self):
+        for prob, _, box in _certificate_corpus():
+            for max_iters in (30, 50000):
+                plain = solve_conic(prob, max_iters=max_iters)
+                boxed = solve_conic(prob, max_iters=max_iters, box=box)
+                for name in ("x", "s", "y"):
+                    np.testing.assert_array_equal(getattr(plain, name),
+                                                  getattr(boxed, name))
+                assert plain.status == boxed.status
+                assert plain.iterations == boxed.iterations
+                assert plain.certified_bound == -np.inf
+                assert np.isfinite(boxed.certified_bound)
+
+    def test_bound_at_every_truncation_and_tight_at_optimal(self):
+        for prob, opt, box in _certificate_corpus():
+            for max_iters in (1, 25, 50, 200):
+                sol = solve_conic(prob, max_iters=max_iters, box=box)
+                assert sol.certified_bound <= opt
+            sol = solve_conic(prob, box=box)
+            assert sol.status == "optimal"
+            assert sol.certified_bound <= opt
+            assert sol.certified_bound >= opt - 1e-3 * abs(opt)
+
+    def test_stop_target_ends_the_solve(self):
+        for prob, opt, box in _certificate_corpus():
+            full = solve_conic(prob, box=box)
+            target = opt - 0.05 * abs(opt)
+            sol = solve_conic(prob, box=box, stop_at=target)
+            assert sol.status == "bound-reached"
+            assert target <= sol.certified_bound <= opt
+            assert sol.iterations % 25 == 0
+            assert sol.iterations < full.iterations
+            # a target above the optimum is never reached
+            sol = solve_conic(prob, box=box, stop_at=opt + 1.0)
+            assert sol.status == "optimal"
+            assert sol.iterations == full.iterations
+
+    def test_unbounded_box_certifies_nothing(self):
+        prob, _, _ = _certificate_corpus()[0]
+        sol = solve_conic(prob, box=(-np.inf, np.inf))
+        assert sol.certified_bound == -np.inf
+
+    def test_stop_target_needs_a_box(self):
+        prob, _, _ = _certificate_corpus()[0]
+        with pytest.raises(ValueError):
+            solve_conic(prob, stop_at=0.0)

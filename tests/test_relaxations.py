@@ -1,13 +1,17 @@
 """Tests for the convex relaxation builders."""
 
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from splr.altmin import SparsityPattern, alternating_minimization
+from splr.altmin import SparsityPattern, alternating_minimization, \
+    multistart_alternating_minimization
 from splr.core import ProblemInstance, reverse_huber_penalty, \
     unconstrained_min_value
+from splr.conic import solve_conic
+from splr.experiments import generate_instance
 from splr.relaxations import (bound_gap, build_lee_zou_relaxation,
                               build_perspective_relaxation,
                               build_strengthened_relaxation,
@@ -216,6 +220,137 @@ class TestBoundGap:
     def test_rejects_nonpositive_upper(self):
         with pytest.raises(ValueError):
             bound_gap(0.0, -1.0)
+
+
+def _support_values(inst):
+    """Multistart AM value of every size-k1 support (exhaustive_oracle's
+    enumeration, kept per support so that any partial pattern's optimum
+    is bounded by the best support consistent with it)."""
+    n = inst.n
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    values = {}
+    for support in combinations(cells, inst.k1):
+        keep = frozenset(support)
+        zero = frozenset(c for c in cells if c not in keep)
+        sol, _ = multistart_alternating_minimization(
+            inst, n_starts=2, eps=1e-8,
+            pattern=SparsityPattern(n, zero, keep))
+        values[keep] = sol.objective
+    return values
+
+
+def _random_pattern(rng, n, k1):
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    picked = [cells[p] for p in rng.permutation(len(cells))[:5]]
+    n1 = int(rng.integers(0, k1 + 1))
+    n0 = int(rng.integers(0, 4))
+    return SparsityPattern(n, frozenset(picked[n1:n1 + n0]),
+                           frozenset(picked[:n1]))
+
+
+class TestCertifiedBound:
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_never_above_the_pattern_optimum(self, seed):
+        # criterion-4 instances where c'x of an ADMM iterate stopped at 50
+        # iterations, less tol*(1+|c'x|), exceeds the AM upper bound
+        # (61.2418 vs 61.226 and 9272.67 vs 9268.3)
+        inst = ProblemInstance(generate_instance(4, 1, 2, 10, seed).D,
+                               1, 2, 1.0, 1.0)
+        ub = alternating_minimization(inst, eps=1e-6)[0].objective
+        values = _support_values(inst)
+        rng = np.random.default_rng(seed)
+        patterns = [SparsityPattern(4)] + [_random_pattern(rng, 4, 2)
+                                           for _ in range(4)]
+        for pattern in patterns:
+            best = min(v for keep, v in values.items()
+                       if pattern.I1 <= keep and not pattern.I0 & keep)
+            model = build_perspective_relaxation(inst, pattern)
+            for max_iters in (25, 50, 200):
+                res = model.solve(max_iters=max_iters, upper_bound=ub)
+                assert min(ub, res.certified_bound) <= best
+            res = model.solve(upper_bound=ub)
+            assert res.solver_status == "optimal"
+            assert min(ub, res.certified_bound) <= best
+            assert abs(min(ub, res.certified_bound)
+                       - min(ub, res.lower_bound)) <= 1e-3 * res.lower_bound
+
+    def test_lowrank_path_below_spectral_closed_form(self):
+        rng = np.random.default_rng(11)
+        cases = [(np.eye(2), 1, 1.0)]
+        for n, k0 in ((3, 1), (4, 2)):
+            A = rng.standard_normal((n, n))
+            cases.append((A + A.T, k0, float(rng.uniform(0.2, 3.0))))
+        for D, k0, lam in cases:
+            phi = np.linalg.svd(D, compute_uv=False)
+            ref = lam / (1 + lam) * np.sum(phi[:k0] ** 2) \
+                + np.sum(phi[k0:] ** 2)
+            inst = ProblemInstance(D, k0, 0, lam, 1.0)
+            ub = alternating_minimization(inst, eps=1e-8)[0].objective
+            model = build_perspective_relaxation(inst)
+            for max_iters in (25, 50, 200):
+                res = model.solve(max_iters=max_iters, upper_bound=ub)
+                assert res.certified_bound <= ref
+            res = model.solve(upper_bound=ub)
+            assert res.solver_status == "optimal"
+            assert ref - 1e-3 * ref <= res.certified_bound <= ref
+
+    def test_strengthened_and_penalized_share_the_box(self):
+        # the penalized objective of a feasible point exceeds the plain one
+        # by at most rho1*k0 + rho2*k1
+        rng = np.random.default_rng(12)
+        for D in (rng.standard_normal((3, 3)), np.diag([2.0, -1.0, 0.5])):
+            inst = ProblemInstance(D, 1, 1, 1.0, 1.0)
+            best = min(_support_values(inst).values())
+            ub = alternating_minimization(inst, eps=1e-6)[0].objective
+            for model, extra in (
+                    (build_strengthened_relaxation(inst), 0.0),
+                    (build_perspective_relaxation(inst, rho1=0.3, rho2=0.2),
+                     0.3 * inst.k0 + 0.2 * inst.k1)):
+                for max_iters in (25, 200, 50000):
+                    res = model.solve(max_iters=max_iters,
+                                      upper_bound=ub + extra)
+                    assert np.isfinite(res.certified_bound)
+                    assert min(ub + extra, res.certified_bound) \
+                        <= best + extra
+
+    def test_box_holds_the_relaxed_optimum(self):
+        # D = 2 e_0 e_1': in the low-rank model the optimum X = D/(1+lam),
+        # Theta = XX' lies on the box's faces
+        D = np.zeros((3, 3))
+        D[0, 1] = 2.0
+        for k1 in (0, 1, 2):
+            inst = ProblemInstance(D, 1, k1, 1.0, 1.0)
+            ub = alternating_minimization(inst, eps=1e-10)[0].objective
+            model = build_perspective_relaxation(inst)
+            x = solve_conic(model.problem, tol=1e-8).x
+            lo, hi = model.box(ub / model.scale ** 2 - model.constant)
+            slack = 1e-5 * (1 + np.abs(x))
+            assert np.all(lo - slack <= x) and np.all(x <= hi + slack)
+
+    def test_stop_target(self):
+        inst = ProblemInstance(generate_instance(4, 1, 2, 10, 0).D,
+                               1, 2, 1.0, 1.0)
+        ub = alternating_minimization(inst, eps=1e-6)[0].objective
+        model = build_perspective_relaxation(inst)
+        full = model.solve(upper_bound=ub)
+        res = model.solve(upper_bound=ub, stop_at=0.99 * ub)
+        assert res.solver_status == "bound-reached"
+        assert 0.99 * ub * (1 - 1e-12) <= res.certified_bound
+        assert res.certified_bound <= full.lower_bound
+
+    def test_no_certificate_without_a_box(self):
+        inst = ProblemInstance(np.eye(2), 1, 1, 1.0, 1.0)
+        assert build_perspective_relaxation(inst).solve().certified_bound \
+            == -np.inf
+        res = build_lee_zou_relaxation(inst).solve(upper_bound=10.0)
+        assert res.certified_bound == -np.inf
+
+    def test_rejects_negative_penalties(self):
+        inst = ProblemInstance(np.eye(2), 1, 1, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            build_perspective_relaxation(inst, rho1=-0.1)
+        with pytest.raises(ValueError):
+            build_perspective_relaxation(inst, rho2=-0.1)
 
 
 def _program_digest(model):
