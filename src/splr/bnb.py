@@ -12,7 +12,9 @@ Upper bounds come from alternating minimization: once unconstrained at the
 root, then at each unpruned node whose pattern is complete (the support is
 fixed). Branching fixes the most fractional entry of the relaxation's
 support matrix Z. Best-bound node selection with FIFO tie-breaking keeps
-the search deterministic.
+the search deterministic. A queued node whose inherited bound is no longer
+below the incumbent value is stale and is dropped when popped, so an
+improved incumbent never filters the queue.
 """
 
 from __future__ import annotations
@@ -29,13 +31,6 @@ from .altmin import (SparsityPattern, alternating_minimization,
                      multistart_alternating_minimization)
 from .core import ProblemInstance, SlrSolution
 from .relaxations import bound_gap, build_perspective_relaxation
-
-
-@dataclass
-class BnbNode:
-    pattern: SparsityPattern
-    lower_bound: float
-    depth: int
 
 
 @dataclass
@@ -89,19 +84,22 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
     incumbent, _ = alternating_minimization(instance, eps=am_eps)
     ub = incumbent.objective
 
-    root = BnbNode(SparsityPattern(n), -math.inf, 0)
-    # heap entries: (inherited lower bound, insertion counter, node)
-    heap = [(-math.inf, 0, root)]
+    # the whole search state: a best-bound heap of (inherited lower bound,
+    # insertion counter, pattern, depth) and the least bound of an explored
+    # complete pattern that was not pruned
+    heap = [(-math.inf, 0, SparsityPattern(n), 0)]
     counter = 1
-    settled_lbs = []   # lower bounds of fully solved (terminal) patterns
+    settled = math.inf
     nodes_explored = fathomed = uncertified = 0
     history = []
 
     def global_lb():
-        cands = [e[0] for e in heap] + settled_lbs
-        return min(cands) if cands else ub
+        # the heap top is its least key; an entry at or above ub is stale
+        return min(heap[0][0] if heap else ub, settled, ub)
 
     while True:
+        while heap and heap[0][0] >= ub:
+            heapq.heappop(heap)
         lb_all = global_lb()
         if lb_all >= ub or (ub > 0
                             and bound_gap(ub, max(lb_all, 0.0)) <= eps):
@@ -113,53 +111,38 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
         if nodes_explored >= node_limit:
             stop_reason = "node_limit"
             break
-        _, _, node = heapq.heappop(heap)
+        lb_parent, _, pattern, depth = heapq.heappop(heap)
         nodes_explored += 1
 
-        model = build_perspective_relaxation(instance, node.pattern)
+        model = build_perspective_relaxation(instance, pattern)
         res = model.solve(tol=solver_tol, upper_bound=ub,
                           stop_at=(1.0 - eps) * ub if ub > 0 else None)
         fathomed += res.solver_status == "bound-reached"
         uncertified += not math.isfinite(res.certified_bound)
         # no relaxed point in this subtree beats ub, or every one of them
         # has objective >= the certificate
-        lb_node = max(min(ub, res.certified_bound), node.lower_bound)
-        node.lower_bound = lb_node
+        lb_node = max(min(ub, res.certified_bound), lb_parent)
         if lb_node >= ub:
-            history.append((nodes_explored, ub, global_lb(),
-                            time.perf_counter() - t0))
-            continue
-
-        if node.pattern.is_complete(instance.k1):
+            pass    # pruned
+        elif pattern.is_complete(instance.k1):
             sol, _ = alternating_minimization(instance, eps=am_eps,
-                                              pattern=node.pattern)
+                                              pattern=pattern)
             if sol.objective < ub:
                 ub = sol.objective
                 incumbent = sol
-                # drop queued nodes that can no longer help
-                heap = [e for e in heap if e[0] < ub]
-                heapq.heapify(heap)
-                settled_lbs = [v for v in settled_lbs if v < ub]
-            settled_lbs.append(lb_node)
+            settled = min(settled, lb_node)
         else:
-            ij = select_branch_entry(res.Z_fractional, node.pattern)
-            child0 = SparsityPattern(n, node.pattern.I0 | {ij},
-                                     node.pattern.I1)
-            child1 = SparsityPattern(n, node.pattern.I0,
-                                     node.pattern.I1 | {ij})
-            for child in (child0, child1):
-                try:
-                    child.check_against(instance.k1)
-                except ValueError:
-                    continue
-                heapq.heappush(heap, (lb_node, counter,
-                                      BnbNode(child, lb_node,
-                                              node.depth + 1)))
+            # an incomplete pattern has |I1| < k1 and |I0| < n^2 - k1, so
+            # both children are valid
+            ij = select_branch_entry(res.Z_fractional, pattern)
+            for child in (SparsityPattern(n, pattern.I0 | {ij}, pattern.I1),
+                          SparsityPattern(n, pattern.I0, pattern.I1 | {ij})):
+                heapq.heappush(heap, (lb_node, counter, child, depth + 1))
                 counter += 1
         history.append((nodes_explored, ub, global_lb(),
                         time.perf_counter() - t0))
 
-    lb_final = min(global_lb(), ub)
+    lb_final = global_lb()
     gap = bound_gap(ub, max(lb_final, 0.0)) if ub > 0 else 0.0
     return BnbResult(incumbent=incumbent, lower_bound=lb_final,
                      upper_bound=ub, nodes_explored=nodes_explored,

@@ -33,7 +33,6 @@ With a stop target the solve ends as soon as that bound reaches it.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -112,20 +111,6 @@ class ConicProblem:
         if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.b))
                 and np.all(np.isfinite(self.A.data))):
             raise ValueError("problem data contains non-finite entries")
-
-    def dump_json(self, path) -> None:
-        """Debug dump for cross-checking against external solvers."""
-        coo = self.A.tocoo()
-        payload = {
-            "c": self.c.tolist(),
-            "b": self.b.tolist(),
-            "A_triplets": [[int(i), int(j), float(v)] for i, j, v in
-                           zip(coo.row, coo.col, coo.data)],
-            "shape": list(self.A.shape),
-            "cones": [[co.kind, int(co.dim)] for co in self.cones],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
 
 
 @dataclass

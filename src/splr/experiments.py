@@ -51,7 +51,9 @@ class MetricsRow:
 def _symmetric_support(n, k1, rng):
     """Sample a symmetric set of k1 cells: unordered off-diagonal pairs
     (two cells each) and diagonal cells (one cell each), uniformly without
-    replacement. An odd k1 always includes a diagonal cell."""
+    replacement. An odd k1 always includes a diagonal cell. Returns one
+    representative per pair, (i, j) with i < j, and each diagonal cell; the
+    support is these cells and their transposes."""
     if k1 > n * n:
         raise ValueError(f"k1={k1} exceeds n^2={n * n}")
     cells = []
@@ -76,9 +78,7 @@ def _symmetric_support(n, k1, rng):
         kind, item = pool[idx]
         if kind == "p":
             if remaining >= 2:
-                i, j = item
-                cells.append((i, j))
-                cells.append((j, i))
+                cells.append(item)
                 remaining -= 2
         else:
             if pending_diag is None:
@@ -104,16 +104,9 @@ def generate_instance(n, k0, k1, sigma, seed) -> SyntheticInstance:
         V = rng.normal(0.0, sigma / math.sqrt(n), size=(n, k0))
     L = V @ V.T
     S = np.zeros((n, n))
-    support = _symmetric_support(n, k1, rng)
-    seen = set()
-    for (i, j) in support:
-        if (i, j) in seen:
-            continue
-        val = rng.uniform(-5.0, 5.0)
-        S[i, j] = val
-        S[j, i] = val
-        seen.add((i, j))
-        seen.add((j, i))
+    cells = _symmetric_support(n, k1, rng)
+    i, j = np.array(cells, dtype=int).reshape(-1, 2).T
+    S[i, j] = S[j, i] = rng.uniform(-5.0, 5.0, len(cells))
     G = rng.standard_normal((n, n))
     N = np.triu(G) + np.triu(G, 1).T
     D = L + S + N
@@ -137,6 +130,8 @@ def cross_validate(D, method, grid, folds: int = 30, seed: int = 0):
     n = D.shape[0]
     if n < 4:
         raise ValueError("cross-validation needs n >= 4")
+    if folds < 1:
+        raise ValueError("folds must be at least 1")
     grid = sorted((float(l), float(m)) for l, m in grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")

@@ -119,14 +119,36 @@ class TestBranchAndBound:
 
     def test_bound_history_monotone(self):
         rng = np.random.default_rng(6)
-        inst = ProblemInstance(rng.standard_normal((3, 3)), 1, 2, 1.0, 1.0)
-        res = branch_and_bound(inst, eps=1e-4)
-        ubs = [h[1] for h in res.bound_history]
-        lbs = [h[2] for h in res.bound_history]
-        assert all(ubs[i + 1] <= ubs[i] + 1e-12 for i in range(len(ubs) - 1))
-        # lower bounds may wobble within solver tolerance only
-        jitter = 1e-4 * (1 + abs(res.upper_bound))
-        assert all(lbs[i + 1] >= lbs[i] - jitter for i in range(len(lbs) - 1))
+        runs = [(branch_and_bound(ProblemInstance(
+            rng.standard_normal((3, 3)), 1, 2, 1.0, 1.0), eps=1e-4), None)]
+        # the incumbent improves after the root on these three, and each
+        # ends by a different stop reason; queued nodes made stale by an
+        # improvement are dropped, not explored
+        for seed, node_limit, reason, nodes in ((0, 100000, "exhausted", 39),
+                                                (2, 100000, "gap", 29),
+                                                (1, 40, "node_limit", 40)):
+            inst = ProblemInstance(generate_instance(5, 1, 3, 3.0, seed).D,
+                                   1, 3, 0.3, 0.3)
+            res = branch_and_bound(inst, eps=0.001, node_limit=node_limit)
+            assert res.nodes_explored == nodes
+            runs.append((res, reason))
+        for res, reason in runs:
+            if reason is not None:
+                assert res.stop_reason == reason
+            assert [h[0] for h in res.bound_history] == list(
+                range(1, res.nodes_explored + 1))
+            ubs = [h[1] for h in res.bound_history]
+            lbs = [h[2] for h in res.bound_history]
+            if reason is not None:
+                assert ubs[-1] < ubs[0]
+            assert all(lb <= ub for lb, ub in zip(lbs, ubs))
+            assert lbs[-1] == res.lower_bound
+            assert all(ubs[i + 1] <= ubs[i] + 1e-12
+                       for i in range(len(ubs) - 1))
+            # lower bounds may wobble within solver tolerance only
+            jitter = 1e-4 * (1 + abs(res.upper_bound))
+            assert all(lbs[i + 1] >= lbs[i] - jitter
+                       for i in range(len(lbs) - 1))
 
     def test_node_limit_truncates(self):
         rng = np.random.default_rng(7)

@@ -158,6 +158,13 @@ class TestCv:
         out = capsys.readouterr().out
         assert f"best lam {3.0 / 3.0:.8g}" in out
 
+    def test_nonpositive_folds_exit_2(self, tmp_path):
+        rng = np.random.default_rng(6)
+        mat = _write_matrix(tmp_path / "d.csv", rng.standard_normal((8, 8)))
+        for folds in ("0", "-1"):
+            assert main(["cv", mat, "--k0", "1", "--k1", "2",
+                         "--grid", "0.5", "--folds", folds]) == 2
+
 
 class TestBench:
     def test_counting_and_plot(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Tests for the first-order cone-program solver."""
 
 import itertools
-import json
 import time
 
 import numpy as np
@@ -251,17 +250,6 @@ class TestSolveCorpus:
         # dual of min c'x s.t. Ax+s=b: max -b'y, c + A'y = 0, y in K*
         assert sol.y[0] >= -1e-6
         assert abs(sol.objective - (-prob.b @ sol.y)) <= 1e-3
-
-
-class TestDumpJson:
-    def test_round_trip_fields(self, tmp_path):
-        prob = _problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)])
-        path = tmp_path / "prob.json"
-        prob.dump_json(path)
-        data = json.loads(path.read_text())
-        assert data["shape"] == [1, 1]
-        assert data["cones"] == [["nonneg", 1]]
-        assert data["A_triplets"] == [[0, 0, -1.0]]
 
 
 def _certificate_corpus():

@@ -97,6 +97,13 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(np.eye(6), lambda *a: None, [])
 
+    def test_rejects_fewer_than_one_fold(self):
+        D = np.random.default_rng(3).standard_normal((6, 6))
+        for folds in (0, -1):
+            with pytest.raises(ValueError):
+                cross_validate(D, lambda Dt, l, m: Dt, [(1.0, 1.0)],
+                               folds=folds)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         D = rng.standard_normal((7, 7))
