@@ -80,6 +80,20 @@ class TestBound:
         lb = float(capsys.readouterr().out.splitlines()[0].split()[-1])
         assert lb == pytest.approx(1.0, abs=0.02)
 
+    def test_last_line_reports_status_and_certificate(self, tmp_path, capsys):
+        mat = _witness_file(tmp_path)
+        base = ["bound", mat, "--k0", "1", "--k1", "0", "--lam", "1.0",
+                "--mu", "1.0"]
+        assert main(base) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "solver status optimal, bound certified"
+        lb, ub = (float(line.split()[2]) for line in lines[:2])
+        assert lb <= ub
+        assert main(base + ["--variant", "leezou", "--beta", "2.0",
+                            "--gamma", "1.0"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "solver status optimal, bound not certified"
+
     def test_unknown_variant_usage_error(self, tmp_path):
         mat = _witness_file(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -2,14 +2,17 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from splr import conic
+from splr import conic, experiments
 from splr.conic import (Cone, ConicProblem, nonneg_cone, project_cone,
                         psd_cone, rsoc_cone, solve_conic, zero_cone)
+from splr.core import ProblemInstance
+from splr.relaxations import build_perspective_relaxation
 
 
 def _problem(c, rows, b, cones):
@@ -51,6 +54,10 @@ class TestValidation:
     def test_b_size_mismatch(self):
         with pytest.raises(ValueError):
             _problem([1.0], [[1.0]], [0.0, 0.0], [nonneg_cone(1)])
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            _problem([1.0], np.zeros((0, 1)), [], [])
 
     def test_nonfinite(self):
         with pytest.raises(ValueError):
@@ -125,9 +132,10 @@ class TestProjections:
             project_cone(np.zeros(2), Cone("exp", 2))
 
     def test_grouped_product_matches_per_cone(self):
-        # kinds and sizes interleaved, so each group gathers scattered rows
+        # kinds and sizes interleaved, so sorting moves every group
         cones = [psd_cone(4), rsoc_cone(3), zero_cone(3), rsoc_cone(7),
-                 nonneg_cone(4), psd_cone(8), rsoc_cone(3), psd_cone(4)]
+                 nonneg_cone(4), psd_cone(8), rsoc_cone(2), rsoc_cone(3),
+                 rsoc_cone(18), psd_cone(4)]
         rng = np.random.default_rng(3)
 
         def edge_points(cone):
@@ -158,7 +166,9 @@ class TestProjections:
         layout = conic._ConeLayout(cones)
         with np.errstate(all="raise"):
             for v in samples:
-                grouped = conic._project(v, layout)
+                grouped = np.empty_like(v)
+                grouped[layout.order] = conic._project(v[layout.order],
+                                                       layout)
                 for one_cone in (project_cone, _one_cone_reference):
                     one_by_one = np.concatenate(
                         [one_cone(v[lo:hi], co)
@@ -243,6 +253,63 @@ class TestSolveCorpus:
         wall = time.perf_counter() - start
         assert sol.setup_s >= 0.0 and sol.solve_s >= 0.0
         assert sol.setup_s + sol.solve_s <= wall
+
+    def test_max_iters_below_one_rejected(self):
+        prob = _problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)])
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="max_iters"):
+                solve_conic(prob, max_iters=max_iters)
+
+    def test_row_order_does_not_change_the_solve(self):
+        # strictly feasible primal (s0 inside K) and dual (y0 inside K*),
+        # so the optimum is attained; the cones interleave every kind
+        cones = [psd_cone(2), zero_cone(2), rsoc_cone(3), nonneg_cone(3),
+                 rsoc_cone(4), psd_cone(3)]
+        rng = np.random.default_rng(0)
+        inner = {"zero": lambda d: np.zeros(d), "nonneg": np.ones,
+                 "rsoc": lambda d: np.r_[1.0, 1.0, np.full(d - 2, 0.3)],
+                 "psd": lambda d: np.eye(round(d ** 0.5)).ravel()}
+        s0 = np.concatenate([inner[co.kind](co.dim) for co in cones])
+        y0 = np.concatenate([rng.standard_normal(co.dim) if co.kind == "zero"
+                             else inner[co.kind](co.dim) for co in cones])
+        m, n = s0.size, 6
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+        b = A @ rng.standard_normal(n) + s0
+        mixed = _problem(-A.T @ y0, A, b, cones)
+        # the same program with each cone's rows contiguous, kinds sorted
+        starts = np.cumsum([0] + [co.dim for co in cones])
+        by_kind = sorted(range(len(cones)),
+                         key=lambda i: conic._KINDS.index(cones[i].kind))
+        rows = np.concatenate([np.arange(starts[i], starts[i + 1])
+                               for i in by_kind])
+        assert not np.array_equal(rows, np.arange(m))
+        tidy = _problem(mixed.c, A[rows], b[rows], [cones[i] for i in by_kind])
+        box = (-5.0, 5.0)
+        one, two = (solve_conic(p, box=box) for p in (mixed, tidy))
+        assert one.status == two.status == "optimal"
+        np.testing.assert_allclose(one.x, two.x, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(one.s[rows], two.s, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(one.y[rows], two.y, rtol=0, atol=1e-9)
+        assert np.isfinite(one.certified_bound)
+        assert one.certified_bound == pytest.approx(two.certified_bound,
+                                                    rel=0, abs=1e-9)
+        # s and y come back in the caller's rows: Ax + s = b, c + A'y = 0
+        np.testing.assert_allclose(A @ one.x + one.s, b, atol=1e-3)
+        np.testing.assert_allclose(mixed.c + A.T @ one.y, 0.0, atol=1e-3)
+
+    def test_n30_perspective_within_memory(self):
+        # a dense AA' + I of its 8,000+ rows alone would take over 500 MB
+        inst = experiments.generate_instance(30, 2, 60, 10.0, 0)
+        inst = ProblemInstance(inst.D, inst.k0, inst.k1, 1.0, 1.0)
+        prob = build_perspective_relaxation(inst).problem
+        tracemalloc.start()
+        try:
+            sol = solve_conic(prob, max_iters=25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.iterations == 25
+        assert peak < 100e6
 
     def test_dual_feasibility_and_gap(self):
         prob = _problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)])
