@@ -15,6 +15,13 @@ support matrix Z. Best-bound node selection with FIFO tie-breaking keeps
 the search deterministic. A queued node whose inherited bound is no longer
 below the incumbent value is stale and is dropped when popped, so an
 improved incumbent never filters the queue.
+
+A child's program is its parent's plus one zero-cone row pinning the
+branched Z entry, so each child's ADMM solve starts from its parent's
+final iterate, lifted onto the child's rows (RelaxationModel.lift); the
+root starts cold, and so does a child whose parent ended with non-finite
+iterates. The certificate holds at any iterate, so the start changes how
+soon a node's bound is reached, never whether it is valid.
 """
 
 from __future__ import annotations
@@ -85,9 +92,10 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
     ub = incumbent.objective
 
     # the whole search state: a best-bound heap of (inherited lower bound,
-    # insertion counter, pattern, depth) and the least bound of an explored
-    # complete pattern that was not pruned
-    heap = [(-math.inf, 0, SparsityPattern(n), 0)]
+    # insertion counter, pattern, depth, parent's relaxation result or
+    # None) and the least bound of an explored complete pattern that was
+    # not pruned; both children share their parent's result
+    heap = [(-math.inf, 0, SparsityPattern(n), 0, None)]
     counter = 1
     settled = math.inf
     nodes_explored = fathomed = uncertified = 0
@@ -111,12 +119,13 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
         if nodes_explored >= node_limit:
             stop_reason = "node_limit"
             break
-        lb_parent, _, pattern, depth = heapq.heappop(heap)
+        lb_parent, _, pattern, depth, parent = heapq.heappop(heap)
         nodes_explored += 1
 
         model = build_perspective_relaxation(instance, pattern)
         res = model.solve(tol=solver_tol, upper_bound=ub,
-                          stop_at=(1.0 - eps) * ub if ub > 0 else None)
+                          stop_at=(1.0 - eps) * ub if ub > 0 else None,
+                          start=parent)
         fathomed += res.solver_status == "bound-reached"
         uncertified += not math.isfinite(res.certified_bound)
         # no relaxed point in this subtree beats ub, or every one of them
@@ -135,9 +144,11 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
             # an incomplete pattern has |I1| < k1 and |I0| < n^2 - k1, so
             # both children are valid
             ij = select_branch_entry(res.Z_fractional, pattern)
+            warm = res if np.isfinite(np.hstack(res.iterate)).all() else None
             for child in (SparsityPattern(n, pattern.I0 | {ij}, pattern.I1),
                           SparsityPattern(n, pattern.I0, pattern.I1 | {ij})):
-                heapq.heappush(heap, (lb_node, counter, child, depth + 1))
+                heapq.heappush(heap, (lb_node, counter, child, depth + 1,
+                                      warm))
                 counter += 1
         history.append((nodes_explored, ub, global_lb(),
                         time.perf_counter() - t0))

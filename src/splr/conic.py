@@ -32,6 +32,12 @@ rows stay free) and r = c + A'y, any feasible x in the box has
     c'x = r'x - b'y + y's >= -b'y + sum_j min(r_j lo_j, r_j hi_j).
 
 With a stop target the solve ends as soon as that bound reaches it.
+
+A solve can start from the final (x, s, y, rho) of an earlier solve over
+the same variables, as SCS does (O'Donoghue, Chu, Parikh and Boyd, JOTA
+2016): setup maps them into the scaled, sorted iterate, with the scaled
+dual of s taken from ADMM's fixed-point relation ws = -nu/rho. The
+certificate holds at any iterate, so it does not depend on the start.
 """
 
 from __future__ import annotations
@@ -133,6 +139,7 @@ class ConicSolution:
     # lower bound on c'x over the feasible points in the box; -inf
     # without a box or when the bound is not finite
     certified_bound: float
+    rho: float  # the final ADMM step parameter, for a warm start
 
 
 class _ConeLayout:
@@ -315,7 +322,7 @@ def _certifier(A, b, c, layout: _ConeLayout, box):
 
 def solve_conic(problem: ConicProblem, tol: float = 1e-5,
                 max_iters: int = 50000, box=None,
-                stop_at: float | None = None) -> ConicSolution:
+                stop_at: float | None = None, start=None) -> ConicSolution:
     """Solve a cone program by ADMM with Ruiz-equilibrated data.
 
     On status 'optimal' the relative primal/dual residuals and the
@@ -328,6 +335,11 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     iterate; it only reads the solver state. With stop_at as well, every
     25-iteration check also certifies, and the solve ends with status
     'bound-reached' once the bound is at least stop_at.
+
+    start=(x, s, y, rho) starts the iterates from an earlier solve over
+    the same variables: x, s and y in the problem's row order and original
+    units (as a ConicSolution holds them), rho > 0 its step parameter.
+    Without a start the iterates begin at zero with rho = 1.
     """
     # imported here: scipy.sparse.linalg loads scipy.linalg, which would
     # add about 0.1 s to every `import splr`
@@ -337,13 +349,25 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if stop_at is not None and box is None:
         raise ValueError("a stop target needs a box")
+    m, n = problem.A.shape
+    if start is not None:
+        x0, s0, y0, rho = start
+        x0, s0, y0 = (np.asarray(v, dtype=float).ravel()
+                      for v in (x0, s0, y0))
+        if (x0.size, s0.size, y0.size) != (n, m, m):
+            raise ValueError(f"start has sizes {(x0.size, s0.size, y0.size)}"
+                             f", expected {(n, m, m)}")
+        if not all(np.all(np.isfinite(v)) for v in (x0, s0, y0, rho)):
+            raise ValueError("start contains non-finite entries")
+        if rho <= 0:
+            raise ValueError(f"start rho must be positive, got {rho}")
+        rho = float(rho)
     t_start = time.perf_counter()
     layout = _ConeLayout(problem.cones)
     order = layout.order
     # the solve runs on the rows in sorted order; s and y are put back in
     # the problem's order on return
     A0, b0, c0 = problem.A[order], problem.b[order], problem.c
-    m, n = A0.shape
     certify = None if box is None else _certifier(A0, b0, c0, layout, box)
     A, b, c, dscale, escale = _ruiz_equilibrate(A0, b0, c0, layout)
     # normalize rhs and objective scales (undone via sigb/sigc below)
@@ -363,12 +387,19 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     At = A.T.tocsr()
     Ac = A @ c
 
-    rho = 1.0
-    x = np.zeros(n)
-    s = np.zeros(m)
-    st = np.zeros(m)   # cone-feasible copy of s
-    ws = np.zeros(m)   # scaled dual for s = st
-    nu = np.zeros(m)
+    if start is None:
+        rho = 1.0
+        x = np.zeros(n)
+        st = np.zeros(m)   # cone-feasible copy of s
+        ws = np.zeros(m)   # scaled dual for s = st
+        nu = np.zeros(m)
+    else:
+        # the inverse of the map back to original units below; at a fixed
+        # point s = st, so the affine step's s = st - ws - nu/rho gives ws
+        x = x0 / (sigb * escale)
+        st = _project(dscale * s0[order] / sigb, layout)
+        nu = y0[order] / (sigc * dscale)
+        ws = -nu / rho
 
     bnorm = 1.0 + np.linalg.norm(b0)
     cnorm = 1.0 + np.linalg.norm(c0)
@@ -440,4 +471,4 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
                          objective=float(c0 @ xo), iterations=it,
                          setup_s=t_iter - t_start, solve_s=t_end - t_iter,
                          certified_bound=(-math.inf if certify is None
-                                          else certify(yo)))
+                                          else certify(yo)), rho=rho)

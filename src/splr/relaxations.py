@@ -111,6 +111,10 @@ class RelaxationResult:
     # certified_bound) bounds the relaxation at any iterate; -inf when
     # there was no upper bound or the model has no box
     certified_bound: float
+    # the solver's final (x, s, y, rho) in the program's units and row
+    # order, and the model's pin cells: a start for a child's solve
+    iterate: tuple
+    pins: tuple
 
 
 @dataclass
@@ -124,6 +128,10 @@ class RelaxationModel:
     matrix variables by scale. box, when the model has one, maps a cap on
     c'x to bounds (lo, hi) on every variable of a feasible point with
     c'x <= cap.
+
+    pins lists the cells whose Z entry the program pins, in the order of
+    their zero-cone rows, which start at row pin_row; a model without
+    pins still records where that block would start.
     """
 
     problem: ConicProblem
@@ -134,15 +142,34 @@ class RelaxationModel:
     Z: np.ndarray = None
     scale: float = 1.0
     box: Callable[[float], tuple] | None = None
+    pins: tuple = ()
+    pin_row: int = 0
+
+    def lift(self, parent: RelaxationResult) -> tuple:
+        """The parent's final (x, s, y, rho) on this program's rows. The
+        parent is a model over the same variables and rows whose pins are
+        a subset of these: its rows keep their s and y, and a pin row it
+        lacks gets s = y = 0."""
+        x, s, y, rho = parent.iterate
+        head = self.pin_row
+        at = {cell: head + k for k, cell in enumerate(parent.pins)}
+        # a new pin reads index -1, the zero appended below
+        pins = np.array([at.get(cell, -1) for cell in self.pins], dtype=int)
+        rows = np.r_[np.arange(head), pins,
+                     np.arange(head + len(parent.pins), s.size)]
+        return x, np.r_[s, 0.0][rows], np.r_[y, 0.0][rows], rho
 
     def solve(self, tol: float = 1e-5, max_iters: int = 50000,
               upper_bound: float | None = None,
-              stop_at: float | None = None) -> RelaxationResult:
+              stop_at: float | None = None,
+              start: RelaxationResult | None = None) -> RelaxationResult:
         """Solve the program. Given an upper_bound U on the objective of
         the points of interest (an incumbent's value), certify a lower
         bound over the relaxed points with objective <= U; given stop_at
         as well, stop once that bound reaches stop_at (status
-        'bound-reached'). Both are in the caller's units."""
+        'bound-reached'). Both are in the caller's units. start, the
+        result of a parent model (see lift), starts the solver from its
+        final iterate."""
         tau2 = self.scale * self.scale
 
         def model_units(value):
@@ -152,7 +179,8 @@ class RelaxationModel:
         if upper_bound is not None and self.box is not None:
             box = self.box(model_units(upper_bound))
         sol = solve_conic(self.problem, tol=tol, max_iters=max_iters,
-                          box=box, stop_at=model_units(stop_at))
+                          box=box, stop_at=model_units(stop_at),
+                          start=None if start is None else self.lift(start))
         x, tau = sol.x, self.scale
 
         def read(ids):
@@ -166,7 +194,8 @@ class RelaxationModel:
             Z_fractional=np.clip(read(self.Z), 0.0, 1.0),
             P_fractional=read(self.P), X_relax=tau * read(self.X),
             Y_relax=tau * read(self.Y), solver_status=sol.status,
-            certified_bound=cert)
+            certified_bound=cert, iterate=(sol.x, sol.s, sol.y, sol.rho),
+            pins=self.pins)
 
 
 def _add_trace_budget(bld, P, k0):
@@ -304,8 +333,9 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         _add_trace_budget(bld, P, k0)
     else:
         bld.add_objective(np.diag(P), rho1)
+    pin_row, pins = bld.rows, ()
     if pattern is not None and not lowrank:
-        pins = sorted(pattern.I0) + sorted(pattern.I1)
+        pins = tuple(sorted(pattern.I0) + sorted(pattern.I1))
         if pins:
             i, j = np.array(pins).T
             bld.add_cone("zero", np.repeat([0.0, -1.0], [len(pattern.I0),
@@ -341,7 +371,8 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         return lo, hi
 
     return RelaxationModel(problem=bld.build(), constant=bld.constant, X=X,
-                           P=P, Y=Y, Z=Z, scale=tau, box=box)
+                           P=P, Y=Y, Z=Z, scale=tau, box=box, pins=pins,
+                           pin_row=pin_row)
 
 
 def build_perspective_relaxation(instance: ProblemInstance,

@@ -385,3 +385,56 @@ class TestCertificate:
         prob, _, _ = _certificate_corpus()[0]
         with pytest.raises(ValueError):
             solve_conic(prob, stop_at=0.0)
+
+
+class TestWarmStart:
+    def _solved(self):
+        prob, opt, box = _certificate_corpus()[0]
+        return prob, opt, box, solve_conic(prob, box=box)
+
+    def test_start_with_wrong_sizes_rejected(self):
+        prob, _, _, sol = self._solved()
+        for start in ((sol.x[1:], sol.s, sol.y, sol.rho),
+                      (sol.x, sol.s[1:], sol.y, sol.rho),
+                      (sol.x, sol.s, np.r_[sol.y, 0.0], sol.rho)):
+            with pytest.raises(ValueError, match="sizes"):
+                solve_conic(prob, start=start)
+
+    def test_nonfinite_start_rejected(self):
+        prob, _, _, sol = self._solved()
+        for k in range(3):
+            start = [sol.x.copy(), sol.s.copy(), sol.y.copy(), sol.rho]
+            start[k][0] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                solve_conic(prob, start=tuple(start))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_conic(prob, start=(sol.x, sol.s, sol.y, np.inf))
+
+    def test_nonpositive_rho_rejected(self):
+        prob, _, _, sol = self._solved()
+        for rho in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rho"):
+                solve_conic(prob, start=(sol.x, sol.s, sol.y, rho))
+
+    def test_restart_from_the_optimum_stops_at_the_first_check(self):
+        tol = 1e-5
+        for prob, opt, box in _certificate_corpus():
+            full = solve_conic(prob, tol=tol, box=box)
+            assert full.status == "optimal" and full.rho > 0
+            again = solve_conic(prob, tol=tol, box=box,
+                                start=(full.x, full.s, full.y, full.rho))
+            assert again.status == "optimal"
+            assert again.iterations == 25
+            assert abs(again.objective - full.objective) <= \
+                tol * (1 + abs(full.objective))
+
+    def test_certificate_does_not_depend_on_the_start(self):
+        rng = np.random.default_rng(3)
+        for prob, opt, box in _certificate_corpus():
+            m, n = prob.A.shape
+            start = (10 * rng.standard_normal(n), rng.standard_normal(m),
+                     10 * rng.standard_normal(m), 0.01)
+            for max_iters in (1, 25, 200, 50000):
+                sol = solve_conic(prob, box=box, max_iters=max_iters,
+                                  start=start)
+                assert sol.certified_bound <= opt

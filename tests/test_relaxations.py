@@ -426,6 +426,36 @@ _GOLDEN_DIGESTS = {
 }
 
 
+class TestLift:
+    """A child pattern adds one pin to its parent's: the lift keeps every
+    row of the parent's iterate and puts zeros at the new pin's row."""
+
+    _P = SparsityPattern(3, I0={(0, 1)}, I1={(2, 2)})
+
+    @pytest.mark.parametrize("parent, child, cell", [
+        (SparsityPattern(3), SparsityPattern(3, I0={(1, 0)}), (1, 0)),
+        (_P, SparsityPattern(3, I0={(0, 1), (1, 0)}, I1={(2, 2)}), (1, 0)),
+        (_P, SparsityPattern(3, I0={(0, 1)}, I1={(0, 0), (2, 2)}), (0, 0)),
+    ])
+    def test_new_pin_row_starts_at_zero(self, parent, child, cell):
+        inst = ProblemInstance(generate_instance(3, 1, 2, 1.0, 0).D,
+                               1, 2, 1.0, 1.0)
+        res = build_perspective_relaxation(inst, parent).solve(max_iters=50)
+        model = build_perspective_relaxation(inst, child)
+        x, s, y, rho = model.lift(res)
+        m = model.problem.A.shape[0]
+        assert s.size == y.size == m == res.iterate[1].size + 1
+        row = model.pin_row + model.pins.index(cell)
+        # the row is the zero-cone row that pins Z at the new cell
+        assert model.problem.A[row].indices.tolist() == [model.Z[cell]]
+        assert s[row] == y[row] == 0.0
+        np.testing.assert_array_equal(np.delete(s, row), res.iterate[1])
+        np.testing.assert_array_equal(np.delete(y, row), res.iterate[2])
+        assert x is res.iterate[0] and rho == res.iterate[3]
+        warm = model.solve(max_iters=50, start=res)
+        assert np.isfinite(warm.lower_bound)
+
+
 class TestGoldenPrograms:
     """The built cone programs are pinned bit for bit: moving a row, a cone
     or a coefficient changes ADMM's rounding, and with it Z_fractional and
