@@ -108,11 +108,7 @@ def spcp(D, mu_pen: float, tol: float = 1e-6, max_iters: int = 2000):
                 break
         X, Y, sX = Xn, Yn, sn
         total = smooth(X, Y) + nonsmooth(sX, Y)
-        if total == 0.0:
-            total_prev = total
-            break
-        if abs(total_prev - total) / max(total, 1e-15) < tol:
-            total_prev = total
+        if total == 0.0 or abs(total_prev - total) / max(total, 1e-15) < tol:
             break
         total_prev = total
     rank_count = int(np.sum(sX > 1e-2))
@@ -165,10 +161,7 @@ def scaled_gd(D, k0: int, gamma_frac: float = 0.0, step: float = 0.5,
         V = V - step * Gv @ np.linalg.inv(U.T @ U + ridge)
         f_t = _fit(D, U @ V.T, Y)
         trace.append(f_t)
-        if f_t == 0.0:
-            break
-        if 0 <= (f_prev - f_t) / f_t < eps:
-            f_prev = f_t
+        if f_t == 0.0 or 0 <= (f_prev - f_t) / f_t < eps:
             break
         f_prev = f_t
     X = U @ V.T

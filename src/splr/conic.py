@@ -16,8 +16,7 @@ contiguous slice: the zero rows, the nonneg rows, the first and then the
 second row of every rotated SOC, the remaining rotated-SOC rows, and the
 PSD blocks grouped by side. A projection onto K is then a fill, a
 ``np.maximum``, one vectorized rotated-SOC formula for the cones of every
-size and one stacked ``eigh`` per PSD side; ``project_cone`` runs the same
-code on a single cone, whose order is its own. The solve permutes A and b
+size and one stacked ``eigh`` per PSD side. The solve permutes A and b
 once and returns s and y in the problem's row order. Setup also
 Ruiz-equilibrates the data, scaling a copy of ``A.data`` in place on each
 pass, with uniform row scaling inside each rsoc/psd block (so cone
@@ -36,7 +35,8 @@ With a stop target the solve ends as soon as that bound reaches it.
 A solve can start from the final (x, s, y, rho) of an earlier solve over
 the same variables, as SCS does (O'Donoghue, Chu, Parikh and Boyd, JOTA
 2016): setup maps them into the scaled, sorted iterate, with the scaled
-dual of s taken from ADMM's fixed-point relation ws = -nu/rho. The
+dual of s taken from ADMM's fixed-point relation ws = -nu/rho. A solve
+without a start takes the same path from zero with rho = 1. The
 certificate holds at any iterate, so it does not depend on the start.
 """
 
@@ -242,15 +242,6 @@ def _project(v, layout: _ConeLayout):
     return out
 
 
-def project_cone(point, cone: Cone):
-    """Exact Euclidean projection of a vector onto one tagged cone."""
-    v = np.asarray(point, dtype=float)
-    if v.size != cone.dim:
-        raise ValueError(f"point has size {v.size}, cone dim {cone.dim}")
-    _check_cone(cone)
-    return _project(v.ravel(), _ConeLayout([cone]))
-
-
 def _segment_max(vals, counts):
     """Max of each consecutive segment of vals (segment sizes in counts);
     1.0 for an empty or all-zero segment."""
@@ -339,7 +330,7 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     start=(x, s, y, rho) starts the iterates from an earlier solve over
     the same variables: x, s and y in the problem's row order and original
     units (as a ConicSolution holds them), rho > 0 its step parameter.
-    Without a start the iterates begin at zero with rho = 1.
+    The default start is zero with rho = 1.
     """
     # imported here: scipy.sparse.linalg loads scipy.linalg, which would
     # add about 0.1 s to every `import splr`
@@ -350,18 +341,18 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     if stop_at is not None and box is None:
         raise ValueError("a stop target needs a box")
     m, n = problem.A.shape
-    if start is not None:
-        x0, s0, y0, rho = start
-        x0, s0, y0 = (np.asarray(v, dtype=float).ravel()
-                      for v in (x0, s0, y0))
-        if (x0.size, s0.size, y0.size) != (n, m, m):
-            raise ValueError(f"start has sizes {(x0.size, s0.size, y0.size)}"
-                             f", expected {(n, m, m)}")
-        if not all(np.all(np.isfinite(v)) for v in (x0, s0, y0, rho)):
-            raise ValueError("start contains non-finite entries")
-        if rho <= 0:
-            raise ValueError(f"start rho must be positive, got {rho}")
-        rho = float(rho)
+    if start is None:
+        start = (np.zeros(n), np.zeros(m), np.zeros(m), 1.0)
+    x0, s0, y0, rho = start
+    x0, s0, y0 = (np.asarray(v, dtype=float).ravel() for v in (x0, s0, y0))
+    if (x0.size, s0.size, y0.size) != (n, m, m):
+        raise ValueError(f"start has sizes {(x0.size, s0.size, y0.size)}"
+                         f", expected {(n, m, m)}")
+    if not all(np.all(np.isfinite(v)) for v in (x0, s0, y0, rho)):
+        raise ValueError("start contains non-finite entries")
+    if rho <= 0:
+        raise ValueError(f"start rho must be positive, got {rho}")
+    rho = float(rho)
     t_start = time.perf_counter()
     layout = _ConeLayout(problem.cones)
     order = layout.order
@@ -387,19 +378,13 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     At = A.T.tocsr()
     Ac = A @ c
 
-    if start is None:
-        rho = 1.0
-        x = np.zeros(n)
-        st = np.zeros(m)   # cone-feasible copy of s
-        ws = np.zeros(m)   # scaled dual for s = st
-        nu = np.zeros(m)
-    else:
-        # the inverse of the map back to original units below; at a fixed
-        # point s = st, so the affine step's s = st - ws - nu/rho gives ws
-        x = x0 / (sigb * escale)
-        st = _project(dscale * s0[order] / sigb, layout)
-        nu = y0[order] / (sigc * dscale)
-        ws = -nu / rho
+    # the inverse of the map back to original units below; st is the
+    # cone-feasible copy of s and ws the scaled dual for s = st. At a fixed
+    # point s = st, so the affine step's s = st - ws - nu/rho gives ws
+    x = x0 / (sigb * escale)
+    st = _project(dscale * s0[order] / sigb, layout)
+    nu = y0[order] / (sigc * dscale)
+    ws = -nu / rho
 
     bnorm = 1.0 + np.linalg.norm(b0)
     cnorm = 1.0 + np.linalg.norm(c0)
@@ -411,15 +396,14 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
 
     while it < max_iters:
         it += 1
-        # affine step: min c'x + (rho/2)(||x - a||^2 + ||s - d||^2)
-        # s.t. Ax + s = b, with a = x (x is unconstrained in the cone
-        # block so its consensus copy and multiplier collapse into x).
+        # affine step: min c'x + (rho/2)(||x - x_k||^2 + ||s - d||^2)
+        # s.t. Ax + s = b, x_k the current x (x is unconstrained in the
+        # cone block so its consensus copy and multiplier collapse into x).
         # The factored matrix AA' + I does not depend on rho.
-        a = x
         dvec = st - ws
-        rhs = rho * (A @ a + dvec - b) - Ac
+        rhs = rho * (A @ x + dvec - b) - Ac
         nu = lu.solve(rhs)
-        x = a - (c + At @ nu) / rho
+        x = x - (c + At @ nu) / rho
         s = dvec - nu / rho
         # cone step + dual update
         st_old = st
@@ -437,13 +421,14 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
             elif rd > 10.0 * rp and rho > 1e-6:
                 rho *= 0.5
                 ws *= 2.0
-            if not np.all(np.isfinite(x)):
-                status = "numerical-failure"
-                break
-            # map back to the original scaling for termination tests
+            # map back to the original scaling; the loop always ends at a
+            # check, so this is also the returned iterate
             xo = sigb * escale * x
             so = sigb * st / dscale
             yo = sigc * dscale * nu
+            if not np.all(np.isfinite(x)):
+                status = "numerical-failure"
+                break
             pres = np.linalg.norm(A0 @ xo + so - b0) / bnorm
             dres = np.linalg.norm(c0 + A0.T @ yo) / cnorm
             pobj = float(c0 @ xo)
@@ -457,9 +442,6 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
                 break
 
     t_end = time.perf_counter()
-    xo = sigb * escale * x
-    so = sigb * st / dscale
-    yo = sigc * dscale * nu
     if status == "max_iters" and not (np.isfinite(pres) and np.isfinite(dres)):
         status = "infeasible-suspected"
     s_out, y_out = np.empty(m), np.empty(m)

@@ -9,6 +9,7 @@ standard normal noise. Everything is deterministic given a seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -54,42 +55,34 @@ def _symmetric_support(n, k1, rng):
     replacement. An odd k1 always includes a diagonal cell. Returns one
     representative per pair, (i, j) with i < j, and each diagonal cell; the
     support is these cells and their transposes."""
-    if k1 > n * n:
-        raise ValueError(f"k1={k1} exceeds n^2={n * n}")
+    if not 0 <= k1 <= n * n:
+        raise ValueError(f"k1={k1} is outside [0, n^2={n * n}]")
     cells = []
-    remaining = k1
     diag = list(range(n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if remaining % 2 == 1:
-        if not diag:
-            raise ValueError("odd k1 needs at least one diagonal cell")
+    if k1 % 2 == 1:
         i = int(rng.integers(n))
         cells.append((i, i))
         diag.remove(i)
-        remaining -= 1
-    pool = [("d", i) for i in diag] + [("p", ij) for ij in pairs]
-    order = rng.permutation(len(pool))
+    pool = [(i, i) for i in diag] + [(i, j) for i in range(n)
+                                     for j in range(i + 1, n)]
+    remaining = k1 - len(cells)
     # a diagonal pick flips parity, so keep diagonal cells paired: buffer
-    # one and only commit when a second shows up
+    # one and only commit when a second shows up. The pool always covers
+    # an even remainder up to n^2, so the loop ends at remaining == 0
     pending_diag = None
-    for idx in order:
+    for idx in rng.permutation(len(pool)):
         if remaining == 0:
             break
-        kind, item = pool[idx]
-        if kind == "p":
-            if remaining >= 2:
-                cells.append(item)
-                remaining -= 2
+        i, j = pool[idx]
+        if i != j:
+            cells.append((i, j))
+            remaining -= 2
+        elif pending_diag is None:
+            pending_diag = (i, i)
         else:
-            if pending_diag is None:
-                pending_diag = item
-            elif remaining >= 2:
-                cells.append((pending_diag, pending_diag))
-                cells.append((item, item))
-                pending_diag = None
-                remaining -= 2
-    if remaining > 0:
-        raise ValueError(f"cannot cover k1={k1} with a symmetric support at n={n}")
+            cells += [pending_diag, (i, i)]
+            pending_diag = None
+            remaining -= 2
     return cells
 
 
@@ -254,32 +247,25 @@ def run_experiment(config, out_csv):
     hyper = config.get("hyperparams", {})
 
     rows = []
-    for n in config["n"]:
-        for k0 in config["k0"]:
-            for k1 in config["k1"]:
-                for sigma in config["sigma"]:
-                    for trial in range(trials):
-                        seed = seed_base + trial
-                        inst = generate_instance(n, k0, k1, sigma, seed)
-                        for method in methods:
-                            t0 = time.perf_counter()
-                            try:
-                                sol, obj = _run_method(method, inst, eps, hyper)
-                                rt = time.perf_counter() - t0
-                                met = compute_metrics(sol, inst, method, rt)
-                                rows.append([name, method, n, k0, k1, sigma,
-                                             trial, seed,
-                                             f"{met.l_error:.10g}",
-                                             f"{met.s_error:.10g}",
-                                             f"{met.discovery_rate:.10g}",
-                                             f"{obj:.10g}",
-                                             f"{rt:.6f}", "ok"])
-                            except Exception as exc:  # noqa: BLE001
-                                rt = time.perf_counter() - t0
-                                rows.append([name, method, n, k0, k1, sigma,
-                                             trial, seed, "", "", "", "",
-                                             f"{rt:.6f}",
-                                             f"error:{type(exc).__name__}"])
+    for n, k0, k1, sigma, trial in itertools.product(
+            config["n"], config["k0"], config["k1"], config["sigma"],
+            range(trials)):
+        seed = seed_base + trial
+        inst = generate_instance(n, k0, k1, sigma, seed)
+        for method in methods:
+            t0 = time.perf_counter()
+            try:
+                sol, obj = _run_method(method, inst, eps, hyper)
+                rt = time.perf_counter() - t0
+                met = compute_metrics(sol, inst, method, rt)
+                values = [f"{v:.10g}" for v in (met.l_error, met.s_error,
+                                                met.discovery_rate, obj)]
+                status = "ok"
+            except Exception as exc:  # noqa: BLE001
+                rt = time.perf_counter() - t0
+                values, status = [""] * 4, f"error:{type(exc).__name__}"
+            rows.append([name, method, n, k0, k1, sigma, trial, seed,
+                         *values, f"{rt:.6f}", status])
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))

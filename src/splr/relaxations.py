@@ -104,7 +104,6 @@ class RelaxationResult:
     Z_fractional: np.ndarray
     P_fractional: np.ndarray
     X_relax: np.ndarray
-    Y_relax: np.ndarray
     solver_status: str
     # lower bound on the objective of every relaxed point whose objective
     # is at most the upper bound given to solve, so min(upper bound,
@@ -138,7 +137,6 @@ class RelaxationModel:
     constant: float
     X: np.ndarray
     P: np.ndarray = None
-    Y: np.ndarray = None
     Z: np.ndarray = None
     scale: float = 1.0
     box: Callable[[float], tuple] | None = None
@@ -193,7 +191,7 @@ class RelaxationModel:
             lower_bound=float(sol.objective + self.constant) * tau * tau,
             Z_fractional=np.clip(read(self.Z), 0.0, 1.0),
             P_fractional=read(self.P), X_relax=tau * read(self.X),
-            Y_relax=tau * read(self.Y), solver_status=sol.status,
+            solver_status=sol.status,
             certified_bound=cert, iterate=(sol.x, sol.s, sol.y, sol.rho),
             pins=self.pins)
 
@@ -371,7 +369,7 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         return lo, hi
 
     return RelaxationModel(problem=bld.build(), constant=bld.constant, X=X,
-                           P=P, Y=Y, Z=Z, scale=tau, box=box, pins=pins,
+                           P=P, Z=Z, scale=tau, box=box, pins=pins,
                            pin_row=pin_row)
 
 
@@ -442,7 +440,7 @@ def build_lee_zou_relaxation(instance: ProblemInstance,
                  *_abs_box_terms(V, Y, 1.0), (2 * n2, V, -1.0 / gamma),
                  (2 * n2 + 1, np.r_[np.diag(W1), np.diag(W2)], -0.5 / beta))
     _add_psd_block(bld, W1, X, W2)
-    return RelaxationModel(problem=bld.build(), constant=0.0, X=X, Y=Y,
+    return RelaxationModel(problem=bld.build(), constant=0.0, X=X,
                            scale=tau)
 
 

@@ -142,6 +142,12 @@ class TestSynth:
             assert (tmp_path / ("a" + part)).read_bytes() == \
                 (tmp_path / ("b" + part)).read_bytes()
 
+    def test_negative_k1_exit_2(self, tmp_path):
+        for k1 in ("-1", "-2"):
+            assert main(["synth", "--n", "4", "--k0", "1", "--k1", k1,
+                         "--out", str(tmp_path / "inst")]) == 2
+        assert not list(tmp_path.iterdir())
+
     def test_parts_sum(self, tmp_path):
         assert main(["synth", "--n", "5", "--k0", "2", "--k1", "4",
                      "--sigma", "2.0", "--seed", "1",

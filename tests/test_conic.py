@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse
 
 from splr import conic, experiments
-from splr.conic import (Cone, ConicProblem, nonneg_cone, project_cone,
-                        psd_cone, rsoc_cone, solve_conic, zero_cone)
+from splr.conic import (Cone, ConicProblem, nonneg_cone, psd_cone,
+                        rsoc_cone, solve_conic, zero_cone)
 from splr.core import ProblemInstance
 from splr.relaxations import build_perspective_relaxation
 
@@ -19,6 +19,12 @@ def _problem(c, rows, b, cones):
     A = scipy.sparse.csr_matrix(np.asarray(rows, dtype=float))
     return ConicProblem(c=np.asarray(c, float), A=A,
                         b=np.asarray(b, float), cones=cones)
+
+
+def _project_one(v, cone):
+    """The solver's projection onto one cone: a single cone's layout
+    order is the identity."""
+    return conic._project(v, conic._ConeLayout([cone]))
 
 
 def _one_cone_reference(v, cone):
@@ -78,23 +84,23 @@ class TestValidation:
 class TestProjections:
     def test_zero(self):
         np.testing.assert_array_equal(
-            project_cone(np.array([1.0, -2.0]), zero_cone(2)), [0.0, 0.0])
+            _project_one(np.array([1.0, -2.0]), zero_cone(2)), [0.0, 0.0])
 
     def test_nonneg(self):
         np.testing.assert_array_equal(
-            project_cone(np.array([-1.0, 3.0]), nonneg_cone(2)), [0.0, 3.0])
+            _project_one(np.array([-1.0, 3.0]), nonneg_cone(2)), [0.0, 3.0])
 
     def test_psd_clip(self):
         v = np.diag([1.0, -2.0]).ravel()
-        out = project_cone(v, psd_cone(2)).reshape(2, 2)
+        out = _project_one(v, psd_cone(2)).reshape(2, 2)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_rsoc_idempotent_and_feasible(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.standard_normal(5) * 3
-            p = project_cone(v, rsoc_cone(5))
-            p2 = project_cone(p, rsoc_cone(5))
+            p = _project_one(v, rsoc_cone(5))
+            p2 = _project_one(p, rsoc_cone(5))
             np.testing.assert_allclose(p, p2, atol=1e-12)
             a, b, w = p[0], p[1], p[2:]
             assert a >= -1e-12 and b >= -1e-12
@@ -110,7 +116,7 @@ class TestProjections:
         pts = np.array(pts)
         for _ in range(5):
             v = rng.standard_normal(3) * 1.5
-            p = project_cone(v, rsoc_cone(3))
+            p = _project_one(v, rsoc_cone(3))
             d_proj = np.linalg.norm(p - v)
             d_grid = np.min(np.linalg.norm(pts - v, axis=1))
             assert d_proj <= d_grid + 0.05  # grid resolution slack
@@ -120,16 +126,8 @@ class TestProjections:
         for cone in (nonneg_cone(4), rsoc_cone(4), psd_cone(2), zero_cone(4)):
             for _ in range(20):
                 u, v = rng.standard_normal(4), rng.standard_normal(4)
-                pu, pv = project_cone(u, cone), project_cone(v, cone)
+                pu, pv = _project_one(u, cone), _project_one(v, cone)
                 assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            project_cone(np.zeros(3), nonneg_cone(2))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            project_cone(np.zeros(2), Cone("exp", 2))
 
     def test_grouped_product_matches_per_cone(self):
         # kinds and sizes interleaved, so sorting moves every group
@@ -169,12 +167,11 @@ class TestProjections:
                 grouped = np.empty_like(v)
                 grouped[layout.order] = conic._project(v[layout.order],
                                                        layout)
-                for one_cone in (project_cone, _one_cone_reference):
-                    one_by_one = np.concatenate(
-                        [one_cone(v[lo:hi], co)
-                         for co, lo, hi in zip(cones, bounds, bounds[1:])])
-                    np.testing.assert_allclose(grouped, one_by_one, rtol=0,
-                                               atol=1e-12)
+                one_by_one = np.concatenate(
+                    [_one_cone_reference(v[lo:hi], co)
+                     for co, lo, hi in zip(cones, bounds, bounds[1:])])
+                np.testing.assert_allclose(grouped, one_by_one, rtol=0,
+                                           atol=1e-12)
 
 
 class TestSolveCorpus:
@@ -427,6 +424,24 @@ class TestWarmStart:
             assert again.iterations == 25
             assert abs(again.objective - full.objective) <= \
                 tol * (1 + abs(full.objective))
+
+    def test_cold_start_is_the_zero_start(self):
+        data = experiments.generate_instance(3, 1, 3, 2.0, 0)
+        inst = ProblemInstance(data.D, 1, 3, 1.0, 1.0)
+        cases = [(prob, b) for prob, _, box in _certificate_corpus()
+                 for b in (None, box)]
+        cases.append((build_perspective_relaxation(inst).problem, None))
+        for prob, box in cases:
+            m, n = prob.A.shape
+            cold = solve_conic(prob, box=box)
+            zero = solve_conic(prob, box=box, start=(
+                np.zeros(n), np.zeros(m), np.zeros(m), 1.0))
+            for name in ("x", "s", "y", "objective", "certified_bound",
+                         "rho"):
+                assert np.asarray(getattr(cold, name)).tobytes() == \
+                    np.asarray(getattr(zero, name)).tobytes(), name
+            assert cold.iterations == zero.iterations
+            assert cold.status == zero.status
 
     def test_certificate_does_not_depend_on_the_start(self):
         rng = np.random.default_rng(3)

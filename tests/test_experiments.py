@@ -46,6 +46,11 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(2, 1, 5, 1.0, 0)
 
+    def test_rejects_negative_k1(self):
+        for k1 in (-1, -2):
+            with pytest.raises(ValueError, match="outside"):
+                generate_instance(4, 1, k1, 1.0, 0)
+
     def test_lowrank_energy_monte_carlo(self):
         # mean ||L||_F^2 over fresh draws agrees with a larger
         # Monte-Carlo estimate of the same statistic
