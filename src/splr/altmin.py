@@ -72,23 +72,27 @@ def solve_lowrank_subproblem(Dbar, k0: int, lam: float,
     The minimizer is the rank-k0 truncation of Dbar scaled by 1/(1+lam).
     svd_mode 'randomized' uses the sketched SVD (seed-deterministic).
     """
-    return _lowrank_step(Dbar, k0, lam, svd_mode, seed)[0]
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    _check_svd_mode(svd_mode)
+    return _lowrank_step(np.asarray(Dbar, dtype=float), k0, lam, svd_mode,
+                         seed)[0]
+
+
+def _check_svd_mode(svd_mode: str) -> None:
+    if svd_mode not in ("exact", "randomized"):
+        raise ValueError(f"unknown svd_mode {svd_mode!r}")
 
 
 def _lowrank_step(Dbar, k0: int, lam: float, svd_mode: str, seed: int = 0,
                   start=None):
-    """Low-rank update returning (X, kept singular values of Dbar, right
-    vectors of X). In randomized mode the row space searched contains the
-    columns of start."""
-    Dbar = np.asarray(Dbar, dtype=float)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    """Low-rank update of a checked float Dbar, returning (X, kept singular
+    values of Dbar, right vectors of X). In randomized mode the row space
+    searched contains the columns of start."""
     if svd_mode == "randomized":
         fact = linalg.randomized_svd(Dbar, k0, seed=seed, start=start)
-    elif svd_mode == "exact":
-        fact = linalg.truncated_svd(Dbar, k0)
     else:
-        raise ValueError(f"unknown svd_mode {svd_mode!r}")
+        fact = linalg.truncated_svd(Dbar, k0)
     return (fact.reconstruct() / (1.0 + lam), fact.singular_values,
             fact.right_vectors)
 
@@ -100,15 +104,20 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
     The support is the k1 largest |Dtilde| entries (respecting any pattern
     forcing) and each kept entry equals Dtilde_ij/(1+mu).
     """
-    Dtilde = np.asarray(Dtilde, dtype=float)
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    if k1 == 0 and (pattern is None or not pattern.I1):
-        return np.zeros_like(Dtilde)
-    fz, fk = (), ()
     if pattern is not None:
         pattern.check_against(k1)
-        fz, fk = pattern.I0, pattern.I1
+    return _sparse_step(np.asarray(Dtilde, dtype=float), k1, mu, pattern)
+
+
+def _sparse_step(Dtilde, k1: int, mu: float,
+                 pattern: SparsityPattern | None):
+    """Sparse update of a float Dtilde for a pattern checked against k1."""
+    if k1 == 0 and (pattern is None or not pattern.I1):
+        # not S * Dtilde: 0 times a negative entry would be -0.0
+        return np.zeros_like(Dtilde)
+    fz, fk = ((), ()) if pattern is None else (pattern.I0, pattern.I1)
     S = linalg.top_k_abs_select(Dtilde, k1, forced_zero=fz, forced_keep=fk)
     return S * Dtilde / (1.0 + mu)
 
@@ -134,6 +143,7 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    _check_svd_mode(svd_mode)
     D = instance.D
     k0, k1 = instance.k0, instance.k1
     lam, mu = instance.lam, instance.mu
@@ -158,7 +168,7 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     t = 0
     while t < cap and f != 0.0:
         t += 1
-        Y_t = solve_sparse_subproblem(D - X, k1, mu, pattern)
+        Y_t = _sparse_step(D - X, k1, mu, pattern)
         X_t, sv_t, V_t = _lowrank_step(D - Y_t, k0, lam, svd_mode,
                                        seed + t, V)
         f_prev, f_t = f, objective(instance, X_t, Y_t)

@@ -45,9 +45,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 @dataclass
@@ -100,6 +103,8 @@ class ConicProblem:
     cones: list
 
     def __post_init__(self):
+        import scipy.sparse
+
         self.c = np.asarray(self.c, dtype=float).ravel()
         self.b = np.asarray(self.b, dtype=float).ravel()
         if not scipy.sparse.issparse(self.A):
@@ -332,8 +337,9 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     units (as a ConicSolution holds them), rho > 0 its step parameter.
     The default start is zero with rho = 1.
     """
-    # imported here: scipy.sparse.linalg loads scipy.linalg, which would
-    # add about 0.1 s to every `import splr`
+    # scipy is imported where a cone program is built or solved, so the
+    # numpy-only commands (decompose, synth, cv, bench) never load it
+    import scipy.sparse
     from scipy.sparse.linalg import splu
 
     if max_iters < 1:

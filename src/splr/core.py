@@ -70,8 +70,8 @@ def objective(instance: ProblemInstance, X, Y) -> float:
     if X.shape != instance.D.shape or Y.shape != instance.D.shape:
         raise ValueError("X and Y must match the shape of D")
     R = instance.D - X - Y
-    return float(np.sum(R * R) + instance.lam * np.sum(X * X)
-                 + instance.mu * np.sum(Y * Y))
+    return float((R * R).sum() + instance.lam * (X * X).sum()
+                 + instance.mu * (Y * Y).sum())
 
 
 def convexity_constants(lam: float, mu: float) -> ConvexityConstants:

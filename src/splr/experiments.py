@@ -120,6 +120,9 @@ def cross_validate(D, method, grid, folds: int = 30, seed: int = 0):
     in lexicographic order. Returns (best_lam, best_mu, score_table).
     """
     D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ValueError(f"cross-validation needs a square D, got shape "
+                         f"{D.shape}")
     n = D.shape[0]
     if n < 4:
         raise ValueError("cross-validation needs n >= 4")

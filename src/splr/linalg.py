@@ -31,7 +31,7 @@ def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
     return A
 
@@ -77,41 +77,51 @@ def randomized_svd(A, k: int, seed: int = 0,
                                  W @ Vt[:k].T)
 
 
+def _flat_cells(cells, shape) -> set:
+    """Row-major indices of the distinct (i, j) cells, each inside shape."""
+    rows, cols = shape
+    flat = set()
+    for i, j in cells:
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"forced cell ({i}, {j}) outside a matrix of "
+                             f"shape {shape}")
+        flat.add(i * cols + j)
+    return flat
+
+
 def top_k_abs_select(M, k: int, forced_zero=(), forced_keep=()) -> np.ndarray:
     """Binary matrix marking the k largest-|entry| positions of M.
 
     forced_keep positions are always selected and forced_zero never are;
     remaining slots go to the largest |M_ij| among free positions, ties
-    broken in row-major order.
+    broken in row-major order. A forced cell outside M is a ValueError.
     """
     M = _as_matrix(M)
-    forced_zero = set(map(tuple, forced_zero))
-    forced_keep = set(map(tuple, forced_keep))
-    if forced_zero & forced_keep:
+    zero = _flat_cells(forced_zero, M.shape)
+    keep = _flat_cells(forced_keep, M.shape)
+    if zero & keep:
         raise ValueError("forced_zero and forced_keep overlap")
-    if len(forced_keep) > k:
-        raise ValueError(f"{len(forced_keep)} forced-keep entries exceed k={k}")
-    if k > M.size - len(forced_zero):
+    if len(keep) > k:
+        raise ValueError(f"{len(keep)} forced-keep entries exceed k={k}")
+    if k > M.size - len(zero):
         raise ValueError("k exceeds the number of admissible entries")
     S = np.zeros(M.shape)
-    for ij in forced_keep:
-        S[ij] = 1.0
-    budget = k - len(forced_keep)
+    marks = S.ravel()
+    marks[list(keep)] = 1.0
+    budget = k - len(keep)
     if budget > 0:
         flat = np.abs(M).ravel()
-        ncols = M.shape[1]
-        for (i, j) in forced_zero | forced_keep:
-            flat[i * ncols + j] = -1.0
+        flat[list(zero | keep)] = -1.0
         # threshold at the budget-th largest magnitude, then resolve ties
         # at the boundary in row-major order
         th = np.partition(flat, flat.size - budget)[flat.size - budget]
         above = flat > th
         n_above = int(np.count_nonzero(above))
-        S.ravel()[above] = 1.0
+        marks[above] = 1.0
         remaining = budget - n_above
         if remaining > 0:
             tied = np.flatnonzero(flat == th)[:remaining]
-            S.ravel()[tied] = 1.0
+            marks[tied] = 1.0
     return S
 
 

@@ -30,7 +30,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .altmin import SparsityPattern
 from .conic import Cone, ConicProblem, solve_conic
@@ -87,6 +86,8 @@ class _ConeProgramBuilder:
         self.rows += const.size
 
     def build(self) -> ConicProblem:
+        import scipy.sparse
+
         ri, rj, rv = (np.concatenate(part) for part in self._coo)
         keep = rv != 0.0
         A = scipy.sparse.csr_matrix((-rv[keep], (ri[keep], rj[keep])),

@@ -290,6 +290,74 @@ class TestAlternatingMinimization:
         np.testing.assert_array_equal(s1.Y, s2.Y)
 
 
+def _reference_am(inst, eps, init=None, pattern=None):
+    """The exact-mode AM loop written with the public step functions."""
+    D = inst.D
+    if init is None:
+        X, Y = np.zeros_like(D), np.zeros_like(D)
+    else:
+        X, Y = (np.asarray(M, dtype=float).copy() for M in init)
+    cap = min(1000, math.ceil(iteration_bound(inst.lam, inst.mu, eps)))
+    f = objective(inst, X, Y)
+    values = [f]
+    t = 0
+    while t < cap and f != 0.0:
+        t += 1
+        Y_t = solve_sparse_subproblem(D - X, inst.k1, inst.mu, pattern)
+        X_t = solve_lowrank_subproblem(D - Y_t, inst.k0, inst.lam)
+        f_prev, f_t = f, objective(inst, X_t, Y_t)
+        if t > 1 and f_t > f:
+            break
+        X, Y, f = X_t, Y_t, f_t
+        values.append(f)
+        if f == 0.0 or (f_prev - f) / f < eps:
+            break
+    return X, Y, values, t
+
+
+def _reference_cases():
+    rng = _rng(31)
+    n = 6
+    D = rng.standard_normal((n, n))
+    partial = SparsityPattern(n, I0={(0, 0), (2, 3), (5, 1)},
+                              I1={(1, 4), (3, 3)})
+    complete = _full_pattern(n, [(0, 1), (2, 2), (4, 5), (5, 0)])
+    zeros_only = SparsityPattern(n, I0={(0, 0), (1, 2)})
+    init = (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    cases = [
+        ("no-pattern", (2, 5, 0.3, 0.7), {}),
+        ("partial", (2, 5, 0.3, 0.7), {"pattern": partial}),
+        ("complete", (1, 4, 0.5, 0.2), {"pattern": complete}),
+        ("k1-zero", (2, 0, 0.3, 0.7), {}),
+        ("k1-zero-forced-zeros", (2, 0, 0.3, 0.7), {"pattern": zeros_only}),
+        ("init", (2, 5, 0.3, 0.7), {"init": init}),
+        ("init-partial", (3, 8, 1.5, 0.4),
+         {"init": init, "pattern": partial}),
+    ]
+    return [pytest.param(ProblemInstance(D, *args), kwargs, id=name)
+            for name, args, kwargs in cases]
+
+
+class TestReferenceLoop:
+    """alternating_minimization runs its steps without re-checking their
+    arguments; it must still agree bit for bit with the checked public
+    steps."""
+
+    @pytest.mark.parametrize("inst,kwargs", _reference_cases())
+    def test_bitwise_equal_to_reference(self, inst, kwargs):
+        eps = 1e-6
+        sol, trace = alternating_minimization(inst, eps=eps, **kwargs)
+        X, Y, values, t = _reference_am(inst, eps, **kwargs)
+        assert sol.X.tobytes() == X.tobytes()
+        assert sol.Y.tobytes() == Y.tobytes()
+        assert trace.objective_values == values
+        assert trace.iterations == t
+        assert sol.objective == values[-1]
+        if inst.k1 == 0:
+            # +0.0 everywhere: no 0 * negative entry leaks a -0.0 into Y
+            assert Y.tobytes() == np.zeros_like(Y).tobytes()
+
+
 class TestPgdEquivalence:
     def test_fixed_pattern_iterates_coincide(self):
         # with a complete pattern, the alternating update on X equals a

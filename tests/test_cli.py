@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,13 @@ class TestCv:
             assert main(["cv", mat, "--k0", "1", "--k1", "2",
                          "--grid", "0.5", "--folds", folds]) == 2
 
+    def test_non_square_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        mat = _write_matrix(tmp_path / "d.csv", rng.standard_normal((6, 4)))
+        assert main(["cv", mat, "--k0", "1", "--k1", "2",
+                     "--grid", "0.5", "--folds", "2"]) == 2
+        assert "square" in capsys.readouterr().err
+
 
 class TestBench:
     def test_counting_and_plot(self, tmp_path, capsys):
@@ -243,3 +253,30 @@ class TestReadme:
             "decompose", "bound", "bnb", "synth", "cv", "bench"]
         for argv in commands:
             build_parser().parse_args(argv)
+
+
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import splr, splr.cli
+assert "scipy.sparse" not in sys.modules, "import splr loaded scipy.sparse"
+from splr.core import ProblemInstance
+from splr.relaxations import build_perspective_relaxation
+D = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+res = build_perspective_relaxation(ProblemInstance(D, 1, 2, 1.0, 1.0)).solve()
+assert res.solver_status == "optimal", res.solver_status
+assert np.isfinite(res.lower_bound)
+"""
+
+
+def test_import_loads_no_scipy_until_a_build():
+    # decompose, synth, cv and bench never build a cone program, so
+    # importing the package must not pay for scipy.sparse; the first
+    # relaxation build loads it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -151,6 +151,54 @@ class TestTopKAbsSelect:
         with pytest.raises(ValueError):
             linalg.top_k_abs_select(M, 4, forced_zero={(0, 0)})
 
+    @pytest.mark.parametrize("cells", [[(0, 15)], [(4, 0)], [(0, -1)],
+                                       [(-1, 2)], [(1, 1), (3, 4)]])
+    def test_forced_cell_outside_rejected(self, cells):
+        # flat index 15 is cell (3, 3) of a 4 x 4 matrix, so (0, 15) must
+        # not stand for it
+        M = np.arange(16.0).reshape(4, 4)
+        with pytest.raises(ValueError, match="outside"):
+            linalg.top_k_abs_select(M, 2, forced_zero=cells)
+        with pytest.raises(ValueError, match="outside"):
+            linalg.top_k_abs_select(M, 2, forced_keep=cells)
+
+    def test_matches_bruteforce_with_forcing(self):
+        # the reference is the first max-|M| support among the admissible
+        # ones in lexicographic order, which is the row-major tie rule;
+        # integer entries make the sums exact, so ties are real
+        rng = _rng(9)
+        kinds = (list, set, frozenset)
+        for trial in range(60):
+            n = int(rng.integers(2, 5))
+            M = rng.integers(-3, 4, size=(n, n)).astype(float)
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            order = rng.permutation(n * n)
+            n1 = int(rng.integers(0, 3))
+            n0 = int(rng.integers(0, n * n - n1 + 1))
+            keep = [cells[c] for c in order[:n1]]
+            zero = [cells[c] for c in order[n1:n1 + n0]]
+            free = [c for c in cells if c not in keep and c not in zero]
+            budget = int(rng.integers(0, min(len(free), 4) + 1))
+            best, ref = -1.0, None
+            for pick in itertools.combinations(free, budget):
+                val = sum(abs(M[ij]) for ij in pick)
+                if val > best:
+                    best, ref = val, pick
+            want = np.zeros((n, n))
+            for ij in keep + list(ref):
+                want[ij] = 1.0
+            kind = kinds[trial % 3]
+            S = linalg.top_k_abs_select(M, n1 + budget,
+                                        forced_zero=kind(zero),
+                                        forced_keep=kind(keep))
+            np.testing.assert_array_equal(S, want)
+
+    def test_repeated_forced_cells_count_once(self):
+        M = np.array([[5.0, 4.0], [3.0, 2.0]])
+        S = linalg.top_k_abs_select(M, 2, forced_zero=[(0, 0), (0, 0)],
+                                    forced_keep=[(1, 1), (1, 1)])
+        np.testing.assert_array_equal(S, [[0, 1], [0, 1]])
+
 
 class TestPseudoinverse:
     def test_diagonal(self):
