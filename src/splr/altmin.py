@@ -4,12 +4,15 @@ Both subproblems have closed forms: the low-rank step is a scaled truncated
 SVD and the sparse step is a scaled hard threshold. The main driver supports
 partial sparsity patterns (forced zero / forced nonzero entries), randomized
 SVD acceleration, and an a-posteriori global-optimality certificate for
-complete patterns.
+complete patterns. One loop, _am_stack, runs AM on a stack of starts that
+share D: a single run, multistart's starts, or the exhaustive oracle's
+supports x starts.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,15 +89,14 @@ def _check_svd_mode(svd_mode: str) -> None:
 
 def _lowrank_step(Dbar, k0: int, lam: float, svd_mode: str, seed: int = 0,
                   start=None):
-    """Low-rank update of a checked float Dbar, returning (X, kept singular
-    values of Dbar, right vectors of X). In randomized mode the row space
-    searched contains the columns of start."""
+    """Low-rank update of a checked float Dbar (in exact mode also a stack
+    of matrices), returning X and the truncated factorization of Dbar. In
+    randomized mode the row space searched contains the columns of start."""
     if svd_mode == "randomized":
         fact = linalg.randomized_svd(Dbar, k0, seed=seed, start=start)
     else:
         fact = linalg.truncated_svd(Dbar, k0)
-    return (fact.reconstruct() / (1.0 + lam), fact.singular_values,
-            fact.right_vectors)
+    return fact.reconstruct() / (1.0 + lam), fact
 
 
 def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
@@ -106,20 +108,175 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
+    fz, fk = (), ()
     if pattern is not None:
         pattern.check_against(k1)
-    return _sparse_step(np.asarray(Dtilde, dtype=float), k1, mu, pattern)
+        fz, fk = pattern.I0, pattern.I1
+    return _sparse_step(np.asarray(Dtilde, dtype=float), k1, mu, fz, fk)
 
 
-def _sparse_step(Dtilde, k1: int, mu: float,
-                 pattern: SparsityPattern | None):
-    """Sparse update of a float Dtilde for a pattern checked against k1."""
-    if k1 == 0 and (pattern is None or not pattern.I1):
-        # not S * Dtilde: 0 times a negative entry would be -0.0
-        return np.zeros_like(Dtilde)
-    fz, fk = ((), ()) if pattern is None else (pattern.I0, pattern.I1)
-    S = linalg.top_k_abs_select(Dtilde, k1, forced_zero=fz, forced_keep=fk)
-    return S * Dtilde / (1.0 + mu)
+def _sparse_step(Dtilde, k1: int, mu: float, zero, keep):
+    """Sparse update of a float Dtilde, a matrix or a stack, with forced
+    cells as linalg.top_k_abs_select takes them. Entries off the support
+    are +0.0 (a product with the 0/1 selection would write -0.0 where
+    Dtilde is negative)."""
+    S = linalg.top_k_abs_select(Dtilde, k1, forced_zero=zero,
+                                forced_keep=keep)
+    return np.where(S, Dtilde / (1.0 + mu), 0.0)
+
+
+def _pattern_masks(instance: ProblemInstance,
+                   pattern: SparsityPattern | None):
+    """The pattern's forced-zero and forced-keep cells as boolean masks of
+    D's shape, () for an empty set, once the pattern is checked against
+    the instance."""
+    if pattern is None:
+        return (), ()
+    if pattern.n != instance.n:
+        raise ValueError("pattern size does not match instance")
+    pattern.check_against(instance.k1)
+    return tuple(linalg._cell_mask(cells, instance.D.shape) if cells else ()
+                 for cells in (pattern.I0, pattern.I1))
+
+
+_REASONS = ("max-iters", "relative-gap", "zero-objective")
+
+
+@dataclass
+class _Runs:
+    """Final state of a stack of B AM runs. sv holds the singular values
+    kept by each run's last accepted SVD step (none if it took no step).
+    Each entry of history is (runs, objectives) after one iteration, the
+    first for the starts; runs lists the runs still going, in order, and
+    run b's trace is its objective in the first n_values[b] entries.
+    reason indexes _REASONS."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    f: np.ndarray
+    sv: np.ndarray
+    iterations: np.ndarray
+    reason: np.ndarray
+    history: list
+    n_values: np.ndarray
+
+    def pick(self, b: int, instance: ProblemInstance):
+        """(SlrSolution, AmTrace) of run b."""
+        X, Y = self.X[b], self.Y[b]
+        # after an SVD step X is a positive multiple of a truncated SVD, so
+        # the kept singular values give its rank without another SVD
+        sol = SlrSolution(X=X, Y=Y, objective=float(self.f[b]),
+                          rank_of_X=linalg.rank_count(
+                              self.sv[b] if self.iterations[b] else X,
+                              rtol=1e-9),
+                          nnz_of_Y=int(np.count_nonzero(Y)))
+        sol.feasible = sol.rank_of_X <= instance.k0 and \
+            sol.nnz_of_Y <= instance.k1
+        values = [float(f[bisect_left(runs, b)])
+                  for runs, f in self.history[:self.n_values[b]]]
+        trace = AmTrace(values, int(self.iterations[b]),
+                        _REASONS[self.reason[b]])
+        return sol, trace
+
+
+def _rows(mask, sel):
+    """The rows sel of a per-run mask; a shared one as it is."""
+    return mask[sel] if isinstance(mask, np.ndarray) and mask.ndim == 3 \
+        else mask
+
+
+def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
+              zero=(), keep=(), svd_mode: str = "exact",
+              seed: int = 0) -> _Runs:
+    """Run AM on D from each start (X[b], Y[b]) of a (B, n, n) stack.
+
+    Every run follows alternating_minimization's rules on its own and gets
+    the bits it would get alone; a run leaves the stack when it stops, and
+    the runs still going share each step's SVD call. zero and keep are
+    forced cells as linalg.top_k_abs_select takes them, a boolean mask of
+    shape (n, n) or (B, n, n) for one per run. Randomized mode takes
+    B = 1. X and Y are overwritten.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    D = instance.D
+    k0, k1 = instance.k0, instance.k1
+    lam, mu = instance.lam, instance.mu
+    B = X.shape[0]
+    cap = min(max_iters, math.ceil(iteration_bound(lam, mu, eps)))
+    f = objective(instance, X, Y)
+    sv = np.zeros((B, k0))
+    iterations = np.zeros(B, dtype=int)
+    n_values = np.ones(B, dtype=int)
+    reason = np.where((f == 0.0) & (cap > 0), 2, 0)
+    history = [(range(B), f.copy())]
+    # the runs still going, in order, and their current state; while every
+    # run goes that is the stack itself, which the first iteration reads
+    # before it writes a stopped run's result into it
+    run = np.flatnonzero(f) if cap > 0 else np.arange(0)
+    runs = run.tolist()
+    Xr, Yr, fr, svr = X, Y, f, sv
+    if run.size < B:
+        Xr, Yr, fr, svr = X[run], Y[run], f[run], sv[run]
+        zero, keep = _rows(zero, run), _rows(keep, run)
+    V = None
+    t = 0
+    # a run going has f > 0, so only a step to f = 0 divides by 0 below,
+    # and that run stops on f = 0, not on its relative decrease
+    with np.errstate(divide="ignore"):
+        while runs:
+            t += 1
+            Y_t = _sparse_step(D - Xr, k1, mu, zero, keep)
+            if svd_mode == "exact":
+                X_t, fact = _lowrank_step(D - Y_t, k0, lam, svd_mode)
+                sv_t = fact.singular_values
+            else:
+                X_t, fact = _lowrank_step(D - Y_t[0], k0, lam, svd_mode,
+                                          seed + t, V)
+                X_t, sv_t, V = (X_t[None], fact.singular_values[None],
+                                fact.right_vectors)
+            f_t = objective(instance, X_t, Y_t)
+            history.append((runs, f_t))
+            small = (fr - f_t) / f_t < eps   # a rise in f counts too
+            stop = small | (f_t == 0.0)
+            if t >= cap:
+                stop[:] = True
+            if not stop.any():
+                Xr, Yr, fr, svr = X_t, Y_t, f_t, sv_t
+                continue
+            done = run[stop]
+            X[done], Y[done], f[done], sv[done] = (X_t[stop], Y_t[stop],
+                                                  f_t[stop], sv_t[stop])
+            iterations[done] = t
+            n_values[done] = t + 1
+            reason[done] = np.where(f_t[stop] == 0.0, 2, small[stop])
+            if t > 1:
+                # after the first iteration the current (X, Y) is a
+                # candidate for both steps, so only rounding can raise f:
+                # such a run keeps its current pair
+                up = stop & (f_t > fr)
+                if up.any():
+                    back = run[up]
+                    X[back], Y[back], f[back], sv[back] = (
+                        Xr[up], Yr[up], fr[up], svr[up])
+                    n_values[back] = t
+            if done.size == run.size:
+                break
+            go = ~stop
+            run, Xr, Yr, fr, svr = (run[go], X_t[go], Y_t[go], f_t[go],
+                                    sv_t[go])
+            runs = run.tolist()
+            zero, keep = _rows(zero, go), _rows(keep, go)
+
+    if svd_mode == "randomized" and iterations[0] > 0:
+        # one exact step makes X a true minimizer for the final Y
+        X_exact, fact = _lowrank_step(D - Y[0], k0, lam, "exact")
+        f_exact = objective(instance, X_exact, Y[0])
+        if f_exact <= f[0]:
+            X[0], sv[0], f[0] = X_exact, fact.singular_values, f_exact
+            history[n_values[0]:] = [(range(1), f[:1].copy())]
+            n_values[0] += 1
+    return _Runs(X, Y, f, sv, iterations, reason, history, n_values)
 
 
 def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
@@ -132,7 +289,9 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     sets Y from D - X (hard threshold) then X from D - Y (truncated SVD),
     and stops when the relative objective decrease drops below eps, the
     objective hits zero, or the iteration cap is reached. The cap is the
-    smaller of max_iters and the analytic worst-case bound.
+    smaller of max_iters and the analytic worst-case bound. After the first
+    iteration a step that raises the objective (by rounding) is not taken.
+    It runs the package's one AM loop on a stack of one start.
 
     svd_mode 'randomized' fits X over a sketched row space that contains
     the previous X's right vectors, so the previous X stays a candidate and
@@ -141,67 +300,17 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
 
     Returns (SlrSolution, AmTrace). The trace is non-increasing.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     _check_svd_mode(svd_mode)
-    D = instance.D
-    k0, k1 = instance.k0, instance.k1
-    lam, mu = instance.lam, instance.mu
-    if pattern is not None:
-        if pattern.n != instance.n:
-            raise ValueError("pattern size does not match instance")
-        pattern.check_against(k1)
-
+    zero, keep = _pattern_masks(instance, pattern)
     if init is None:
-        X = np.zeros_like(D)
-        Y = np.zeros_like(D)
+        X = np.zeros((1,) + instance.D.shape)
+        Y = np.zeros_like(X)
     else:
-        X = np.asarray(init[0], dtype=float).copy()
-        Y = np.asarray(init[1], dtype=float).copy()
-
-    cap = min(max_iters, math.ceil(iteration_bound(lam, mu, eps)))
-    trace = AmTrace()
-    f = objective(instance, X, Y)
-    trace.objective_values.append(f)
-    # rank_count reads X itself until an SVD step gives its spectrum
-    sv, V = X, None
-    t = 0
-    while t < cap and f != 0.0:
-        t += 1
-        Y_t = _sparse_step(D - X, k1, mu, pattern)
-        X_t, sv_t, V_t = _lowrank_step(D - Y_t, k0, lam, svd_mode,
-                                       seed + t, V)
-        f_prev, f_t = f, objective(instance, X_t, Y_t)
-        # after the first iteration the current (X, Y) is a candidate for
-        # both steps, so only rounding can raise f: keep the current pair
-        if t > 1 and f_t > f:
-            break
-        X, Y, sv, V, f = X_t, Y_t, sv_t, V_t, f_t
-        trace.objective_values.append(f)
-        if f == 0.0 or (f_prev - f) / f < eps:
-            break
-    trace.iterations = t
-    if f == 0.0 and cap > 0:
-        trace.converged_reason = "zero-objective"
-    elif t and (f_prev - f) / f < eps:
-        trace.converged_reason = "relative-gap"
-    else:
-        trace.converged_reason = "max-iters"
-
-    if svd_mode == "randomized" and t > 0:
-        X_exact, sv_exact, _ = _lowrank_step(D - Y, k0, lam, "exact")
-        f_exact = objective(instance, X_exact, Y)
-        if f_exact <= f:
-            X, sv, f = X_exact, sv_exact, f_exact
-            trace.objective_values.append(f)
-
-    # after an SVD step X is a positive multiple of a truncated SVD, so the
-    # kept singular values give its rank without another SVD
-    sol = SlrSolution(X=X, Y=Y, objective=f,
-                      rank_of_X=linalg.rank_count(sv, rtol=1e-9),
-                      nnz_of_Y=int(np.count_nonzero(Y)))
-    sol.feasible = sol.rank_of_X <= k0 and sol.nnz_of_Y <= k1
-    return sol, trace
+        X = np.array([init[0]], dtype=float)
+        Y = np.array([init[1]], dtype=float)
+    runs = _am_stack(instance, X, Y, eps, max_iters, zero, keep, svd_mode,
+                     seed)
+    return runs.pick(0, instance)
 
 
 def multistart_alternating_minimization(instance: ProblemInstance,
@@ -209,20 +318,32 @@ def multistart_alternating_minimization(instance: ProblemInstance,
                                         max_iters: int = 1000,
                                         pattern: SparsityPattern | None = None,
                                         seed: int = 0):
-    """Best AM solution over the zero start plus random Gaussian starts."""
-    best, best_trace = alternating_minimization(
-        instance, eps=eps, max_iters=max_iters, pattern=pattern)
-    rng = np.random.default_rng(seed)
+    """Best exact-mode AM solution over the zero start plus n_starts - 1
+    Gaussian starts (Y0 = 0) drawn from default_rng(seed), run as one
+    stack. The first start with the least objective wins, with its trace.
+    """
+    zero, keep = _pattern_masks(instance, pattern)
+    return _multistart(instance, n_starts, eps, max_iters, zero, keep, seed)
+
+
+def _multistart(instance: ProblemInstance, n_starts: int, eps: float,
+                max_iters: int = 1000, zero=(), keep=(), seed: int = 0):
+    """multistart_alternating_minimization's runs for one pattern, or for
+    C patterns at once given as (C, n, n) masks: every pattern x start is
+    one run of a single stack, and the first least one in pattern-major
+    order is returned as (SlrSolution, AmTrace)."""
     n = instance.n
-    for _ in range(max(0, n_starts - 1)):
-        X0 = rng.standard_normal((n, n))
-        Y0 = np.zeros((n, n))
-        sol, tr = alternating_minimization(
-            instance, eps=eps, max_iters=max_iters, init=(X0, Y0),
-            pattern=pattern)
-        if sol.objective < best.objective:
-            best, best_trace = sol, tr
-    return best, best_trace
+    rng = np.random.default_rng(seed)
+    starts = np.stack([np.zeros((n, n))] + [rng.standard_normal((n, n))
+                                            for _ in range(n_starts - 1)])
+    # a per-pattern mask has one row per pattern, repeated for each start
+    C = max((len(m) for m in (zero, keep) if np.ndim(m) == 3), default=1)
+    zero, keep = (np.repeat(m, len(starts), axis=0) if np.ndim(m) == 3
+                  else m for m in (zero, keep))
+    X = np.tile(starts, (C, 1, 1))
+    runs = _am_stack(instance, X, np.zeros_like(X), eps, max_iters, zero,
+                     keep)
+    return runs.pick(int(np.argmin(runs.f)), instance)
 
 
 @dataclass(frozen=True)

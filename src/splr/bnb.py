@@ -30,14 +30,17 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .altmin import (SparsityPattern, alternating_minimization,
-                     multistart_alternating_minimization)
+from .altmin import SparsityPattern, _multistart, alternating_minimization
 from .core import ProblemInstance, SlrSolution
 from .relaxations import bound_gap, build_perspective_relaxation
+
+# matrix entries per stacked chunk of exhaustive_oracle's runs: each
+# (B, n, n) float array of a chunk takes at most 8 MB
+_STACK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -163,20 +166,26 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
 
 def exhaustive_oracle(instance: ProblemInstance, n_starts: int = 3,
                       am_eps: float = 1e-8, guard: int = 100000):
-    """Brute-force reference: best alternating-minimization solution over
-    every size-k1 support. Guarded against combinatorial blowup."""
+    """Brute-force reference: the best alternating-minimization solution
+    over every size-k1 support, each support's value being what
+    multistart_alternating_minimization finds on its complete pattern; the
+    first least one in enumeration order wins. Every support x start runs
+    in one stacked AM pass per chunk of _STACK_ENTRIES matrix entries.
+    Guarded against combinatorial blowup."""
     n, k1 = instance.n, instance.k1
     n2 = n * n
     if math.comb(n2, k1) > guard:
         raise ValueError(f"C({n2},{k1}) exceeds the enumeration guard {guard}")
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    supports = combinations(range(n2), k1)
+    per_chunk = max(1, _STACK_ENTRIES // (n2 * max(1, n_starts)))
     best = None
-    for support in combinations(cells, k1):
-        keep = frozenset(support)
-        zero = frozenset(c for c in cells if c not in keep)
-        pattern = SparsityPattern(n, zero, keep)
-        sol, _ = multistart_alternating_minimization(
-            instance, n_starts=n_starts, eps=am_eps, pattern=pattern)
+    while chunk := list(islice(supports, per_chunk)):
+        keep = np.zeros((len(chunk), n2), dtype=bool)
+        keep[np.arange(len(chunk))[:, None],
+             np.array(chunk, dtype=np.intp).reshape(len(chunk), k1)] = True
+        keep = keep.reshape(-1, n, n)
+        sol, _ = _multistart(instance, n_starts, am_eps, zero=~keep,
+                             keep=keep)
         if best is None or sol.objective < best.objective:
             best = sol
     return best, best.objective

@@ -63,15 +63,22 @@ class ConvexityConstants:
     kappa: float
 
 
-def objective(instance: ProblemInstance, X, Y) -> float:
-    """Evaluate ||D-X-Y||_F^2 + lam*||X||_F^2 + mu*||Y||_F^2."""
+def objective(instance: ProblemInstance, X, Y):
+    """Evaluate ||D-X-Y||_F^2 + lam*||X||_F^2 + mu*||Y||_F^2.
+
+    X and Y may be stacks (..., n, n) of matrices; the result is then an
+    array with one value per matrix, each the float the matrix gets on its
+    own.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.shape != instance.D.shape or Y.shape != instance.D.shape:
+    if X.shape[-2:] != instance.D.shape or Y.shape[-2:] != instance.D.shape:
         raise ValueError("X and Y must match the shape of D")
     R = instance.D - X - Y
-    return float((R * R).sum() + instance.lam * (X * X).sum()
-                 + instance.mu * (Y * Y).sum())
+    axes = (-2, -1)
+    f = ((R * R).sum(axis=axes) + instance.lam * (X * X).sum(axis=axes)
+         + instance.mu * (Y * Y).sum(axis=axes))
+    return float(f) if f.ndim == 0 else f
 
 
 def convexity_constants(lam: float, mu: float) -> ConvexityConstants:

@@ -16,7 +16,8 @@ class SpectralFactorization:
     """Truncated SVD: ``U @ diag(s) @ V.T`` approximates the input.
 
     singular_values are nonnegative and non-increasing; left_vectors and
-    right_vectors have orthonormal columns.
+    right_vectors have orthonormal columns. A factorization of a stack of
+    matrices has the stack's leading axes on every field.
     """
 
     singular_values: np.ndarray
@@ -24,12 +25,15 @@ class SpectralFactorization:
     right_vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
+        return ((self.left_vectors * self.singular_values[..., None, :])
+                @ self.right_vectors.swapaxes(-1, -2))
 
 
-def _as_matrix(A) -> np.ndarray:
+def _as_matrix(A, stack: bool = False) -> np.ndarray:
+    """A as a finite float matrix, or with stack a matrix or a stack
+    (..., m, n) of matrices."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
+    if A.ndim != 2 and not (stack and A.ndim > 2):
         raise ValueError(f"expected a 2-d array, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
@@ -41,12 +45,16 @@ def truncated_svd(A, k: int) -> SpectralFactorization:
 
     The rank-k reconstruction is a Frobenius-optimal rank-<=k approximation
     (unique only when sigma_k > sigma_{k+1}; ties resolved by LAPACK order).
+    A may be a stack (..., m, n) of matrices; each field of the result then
+    has the same leading axes, and each matrix gets the bits it would get
+    on its own.
     """
-    A = _as_matrix(A)
-    if not 1 <= k <= min(A.shape):
+    A = _as_matrix(A, stack=True)
+    if not 1 <= k <= min(A.shape[-2:]):
         raise ValueError(f"k={k} out of range for shape {A.shape}")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return SpectralFactorization(s[:k].copy(), U[:, :k].copy(), Vt[:k].T.copy())
+    return SpectralFactorization(s[..., :k].copy(), U[..., :k].copy(),
+                                 Vt[..., :k, :].swapaxes(-1, -2).copy())
 
 
 def randomized_svd(A, k: int, seed: int = 0,
@@ -77,16 +85,25 @@ def randomized_svd(A, k: int, seed: int = 0,
                                  W @ Vt[:k].T)
 
 
-def _flat_cells(cells, shape) -> set:
-    """Row-major indices of the distinct (i, j) cells, each inside shape."""
-    rows, cols = shape
-    flat = set()
+def _cell_mask(cells, shape):
+    """Boolean mask of forced cells for a matrix or stack of the given shape,
+    or None when there are none. cells is a boolean array that broadcasts
+    to shape, or (i, j) pairs, each inside the matrix."""
+    if isinstance(cells, np.ndarray) and cells.dtype == bool:
+        if np.broadcast_shapes(cells.shape, shape) != shape:
+            raise ValueError(f"a forced-cell mask of shape {cells.shape} "
+                             f"does not fit shape {shape}")
+        return cells
+    rows, cols = shape[-2:]
+    mask = None
     for i, j in cells:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"forced cell ({i}, {j}) outside a matrix of "
                              f"shape {shape}")
-        flat.add(i * cols + j)
-    return flat
+        if mask is None:
+            mask = np.zeros((rows, cols), dtype=bool)
+        mask[i, j] = True
+    return mask
 
 
 def top_k_abs_select(M, k: int, forced_zero=(), forced_keep=()) -> np.ndarray:
@@ -95,34 +112,54 @@ def top_k_abs_select(M, k: int, forced_zero=(), forced_keep=()) -> np.ndarray:
     forced_keep positions are always selected and forced_zero never are;
     remaining slots go to the largest |M_ij| among free positions, ties
     broken in row-major order. A forced cell outside M is a ValueError.
+    M may be a stack (..., m, n) of matrices, each selected on its own.
+    Forced cells are (i, j) pairs, the same for every matrix of a stack,
+    or a boolean array that broadcasts to the shape of M.
     """
-    M = _as_matrix(M)
-    zero = _flat_cells(forced_zero, M.shape)
-    keep = _flat_cells(forced_keep, M.shape)
-    if zero & keep:
+    M = _as_matrix(M, stack=True)
+    zero = _cell_mask(forced_zero, M.shape)
+    keep = _cell_mask(forced_keep, M.shape)
+    if zero is not None and keep is not None and (zero & keep).any():
         raise ValueError("forced_zero and forced_keep overlap")
-    if len(keep) > k:
-        raise ValueError(f"{len(keep)} forced-keep entries exceed k={k}")
-    if k > M.size - len(zero):
+    # the slots left after the forced keeps: one int for a mask shared by
+    # the stack, else one per matrix
+    budget = k
+    if keep is not None:
+        budget = k - (int(np.count_nonzero(keep)) if keep.ndim == 2
+                      else np.count_nonzero(keep, axis=(-2, -1)))
+        if np.min(budget) < 0:
+            raise ValueError(f"{k - np.min(budget)} forced-keep entries "
+                             f"exceed k={k}")
+    size = M.shape[-2] * M.shape[-1]
+    if zero is not None and \
+            k > size - np.max(np.count_nonzero(zero, axis=(-2, -1))):
         raise ValueError("k exceeds the number of admissible entries")
-    S = np.zeros(M.shape)
-    marks = S.ravel()
-    marks[list(keep)] = 1.0
-    budget = k - len(keep)
-    if budget > 0:
-        flat = np.abs(M).ravel()
-        flat[list(zero | keep)] = -1.0
-        # threshold at the budget-th largest magnitude, then resolve ties
-        # at the boundary in row-major order
-        th = np.partition(flat, flat.size - budget)[flat.size - budget]
-        above = flat > th
-        n_above = int(np.count_nonzero(above))
-        marks[above] = 1.0
-        remaining = budget - n_above
-        if remaining > 0:
-            tied = np.flatnonzero(flat == th)[:remaining]
-            marks[tied] = 1.0
-    return S
+    flat = np.abs(M).reshape(-1, size)
+    for mask in (zero, keep):
+        if mask is not None:
+            flat[np.broadcast_to(mask, M.shape).reshape(flat.shape)] = -1.0
+    picked = np.zeros(flat.shape, dtype=bool)
+    if isinstance(budget, (int, np.integer)):
+        if budget > 0:
+            # threshold at the budget-th largest free magnitude; more picks
+            # than budget means ties there, and the first ones in row-major
+            # order stay
+            th = np.partition(flat, size - budget, axis=-1)[:, size - budget,
+                                                           None]
+            picked = flat >= th
+            if np.count_nonzero(picked) > budget * flat.shape[0]:
+                tied = flat == th
+                n_tied = tied.sum(axis=-1) - picked.sum(axis=-1) + budget
+                picked &= ~tied | (np.cumsum(tied, axis=-1)
+                                   <= n_tied[:, None])
+    elif budget.any():
+        # a budget per matrix: a stable sort ranks ties in row-major order
+        rank = np.argsort(np.argsort(-flat, axis=-1, kind="stable"), axis=-1)
+        picked = rank < np.broadcast_to(budget, M.shape[:-2]).reshape(-1, 1)
+    picked = picked.reshape(M.shape)
+    if keep is not None:
+        picked |= keep
+    return picked.astype(float)
 
 
 def pseudoinverse(A, tol: float = 1e-12) -> np.ndarray:
@@ -159,7 +196,7 @@ def read_matrix_csv(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                rows.append(np.array(line.split(","), dtype=float))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
     if not rows:
@@ -168,11 +205,13 @@ def read_matrix_csv(path) -> np.ndarray:
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
             raise ValueError(f"{path}:{i}: ragged row ({len(row)} != {width})")
-    return np.array(rows, dtype=float)
+    return np.array(rows)
 
 
 def write_matrix_csv(path, A) -> None:
+    """Write A in read_matrix_csv's format, each entry as the shortest
+    decimal that reads back to the same double."""
     A = _as_matrix(A)
     with open(path, "w") as fh:
         for row in A:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splr import linalg
-from splr.altmin import (SparsityPattern, alternating_minimization,
+from splr.altmin import (AmTrace, SparsityPattern, alternating_minimization,
                          fixed_pattern_certificate, iteration_bound,
                          multistart_alternating_minimization,
                          solve_lowrank_subproblem, solve_sparse_subproblem)
@@ -353,8 +353,10 @@ class TestReferenceLoop:
         assert trace.objective_values == values
         assert trace.iterations == t
         assert sol.objective == values[-1]
+        # entries off the support are +0.0: no 0 * negative entry leaks a
+        # -0.0 into Y
+        assert not np.signbit(sol.Y[sol.Y == 0.0]).any()
         if inst.k1 == 0:
-            # +0.0 everywhere: no 0 * negative entry leaks a -0.0 into Y
             assert Y.tobytes() == np.zeros_like(Y).tobytes()
 
 
@@ -387,7 +389,58 @@ class TestPgdEquivalence:
                 assert np.abs(X_am - X_pgd).max() <= 1e-10
 
 
+def _separate_starts(inst, n_starts, seed, **kwargs):
+    """multistart's reference: one alternating_minimization call per start
+    (the zero start, then default_rng(seed) Gaussian X0 with Y0 = 0); the
+    first start with the least objective wins."""
+    rng = _rng(seed)
+    n = inst.n
+    best = None
+    for s in range(n_starts):
+        X0 = np.zeros((n, n)) if s == 0 else rng.standard_normal((n, n))
+        sol, trace = alternating_minimization(
+            inst, init=(X0, np.zeros((n, n))), **kwargs)
+        if best is None or sol.objective < best[0].objective:
+            best = sol, trace
+    return best
+
+
 class TestMultistart:
+    @pytest.mark.parametrize("pattern", ["none", "incomplete", "complete"])
+    @pytest.mark.parametrize("n_starts,max_iters", [(1, 1000), (4, 1000),
+                                                    (5, 3)])
+    def test_equals_separate_runs(self, pattern, n_starts, max_iters):
+        n = 6
+        patterns = {
+            "none": None,
+            "incomplete": SparsityPattern(n, I0={(0, 0), (2, 3)},
+                                          I1={(1, 4)}),
+            "complete": _full_pattern(n, [(0, 1), (2, 2), (4, 5), (5, 0),
+                                          (3, 3)]),
+        }
+        for seed in range(3):
+            inst = ProblemInstance(_rng(40 + seed).standard_normal((n, n)),
+                                   2, 5, 0.3, 0.6)
+            kwargs = dict(eps=1e-6, max_iters=max_iters,
+                          pattern=patterns[pattern])
+            sol, trace = multistart_alternating_minimization(
+                inst, n_starts=n_starts, seed=seed, **kwargs)
+            ref, ref_trace = _separate_starts(inst, n_starts, seed, **kwargs)
+            assert sol.X.tobytes() == ref.X.tobytes()
+            assert sol.Y.tobytes() == ref.Y.tobytes()
+            assert (sol.objective, sol.rank_of_X, sol.nnz_of_Y,
+                    sol.feasible) == (ref.objective, ref.rank_of_X,
+                                      ref.nnz_of_Y, ref.feasible)
+            assert trace == ref_trace
+
+    def test_first_least_start_wins(self):
+        # D = 0: the zero start has objective 0 and stops at once, and no
+        # other start can do better
+        inst = ProblemInstance(np.zeros((3, 3)), 1, 2, 1.0, 1.0)
+        sol, trace = multistart_alternating_minimization(inst, n_starts=3)
+        assert sol.objective == 0.0
+        assert trace == AmTrace([0.0], 0, "zero-objective")
+
     def test_never_worse_than_single_start(self):
         inst = ProblemInstance(_rng(13).standard_normal((6, 6)), 2, 4,
                                1.0, 1.0)

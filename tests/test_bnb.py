@@ -1,12 +1,14 @@
 """Tests for branch-and-bound over sparsity patterns."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from splr import bnb
 from splr.altmin import SparsityPattern, alternating_minimization, \
-    solve_lowrank_subproblem
+    multistart_alternating_minimization, solve_lowrank_subproblem
 from splr.bnb import branch_and_bound, exhaustive_oracle, select_branch_entry
 from splr.conic import solve_conic
 from splr.core import ProblemInstance, objective
@@ -42,7 +44,49 @@ class TestSelectBranchEntry:
             select_branch_entry(np.zeros((2, 2)), pattern)
 
 
+def _per_support_best(inst, n_starts, eps):
+    """The oracle's reference: multistart AM on every complete pattern in
+    enumeration order, the first least one winning."""
+    n = inst.n
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    best = None
+    for support in combinations(cells, inst.k1):
+        keep = frozenset(support)
+        zero = frozenset(c for c in cells if c not in keep)
+        sol, _ = multistart_alternating_minimization(
+            inst, n_starts=n_starts, eps=eps,
+            pattern=SparsityPattern(n, zero, keep))
+        if best is None or sol.objective < best.objective:
+            best = sol
+    return best
+
+
 class TestExhaustiveOracle:
+    @pytest.mark.parametrize("k1", [0, 1, 3])
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_equals_per_support_multistart(self, k1, n_starts):
+        rng = np.random.default_rng(10 + k1)
+        inst = ProblemInstance(rng.standard_normal((3, 3)), 2, k1, 0.4, 0.8)
+        sol, val = exhaustive_oracle(inst, n_starts=n_starts)
+        ref = _per_support_best(inst, n_starts, 1e-8)
+        assert val == sol.objective == ref.objective
+        assert sol.X.tobytes() == ref.X.tobytes()
+        assert sol.Y.tobytes() == ref.Y.tobytes()
+        assert (sol.rank_of_X, sol.nnz_of_Y, sol.feasible) == \
+            (ref.rank_of_X, ref.nnz_of_Y, ref.feasible)
+
+    @pytest.mark.parametrize("entries", [1, 9 * 3 * 2, 9 * 3 * 5])
+    def test_chunks_keep_the_first_minimum(self, monkeypatch, entries):
+        # 1, 2 or 5 supports per chunk instead of all 84 in one
+        inst = ProblemInstance(np.random.default_rng(5).standard_normal(
+            (3, 3)), 1, 3, 0.5, 0.5)
+        monkeypatch.setattr(bnb, "_STACK_ENTRIES", entries)
+        sol, _ = exhaustive_oracle(inst, n_starts=3)
+        ref = _per_support_best(inst, 3, 1e-8)
+        assert sol.objective == ref.objective
+        assert sol.X.tobytes() == ref.X.tobytes()
+        assert sol.Y.tobytes() == ref.Y.tobytes()
+
     def test_k1_zero_reduces_to_lowrank(self):
         rng = np.random.default_rng(0)
         D = rng.standard_normal((3, 3))

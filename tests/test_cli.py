@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from splr import linalg
+from splr.altmin import alternating_minimization
 from splr.cli import build_parser, main
+from splr.core import ProblemInstance
 
 
 def _write_matrix(path, A):
@@ -38,6 +40,22 @@ class TestDecompose:
         D = linalg.read_matrix_csv(mat)
         ref = (np.sum((D - X - Y) ** 2) + np.sum(X * X) + np.sum(Y * Y))
         assert summary["objective"] == pytest.approx(ref, abs=1e-9)
+
+    def test_zeros_of_y_are_written_positive(self, tmp_path):
+        inst = str(tmp_path / "inst")
+        assert main(["synth", "--n", "8", "--k0", "1", "--k1", "4",
+                     "--sigma", "1", "--seed", "0", "--out", inst]) == 0
+        out = str(tmp_path / "dec")
+        assert main(["decompose", inst + "_D.csv", "--k0", "1", "--k1", "4",
+                     "--out", out]) == 0
+        tokens = (tmp_path / "dec_Y.csv").read_text().split()
+        tokens = ",".join(tokens).split(",")
+        assert tokens.count("0.0") == 60 and "-0.0" not in tokens
+        D = linalg.read_matrix_csv(inst + "_D.csv")
+        sol, _ = alternating_minimization(ProblemInstance(D, 1, 4, 0.1, 0.1))
+        assert not np.signbit(sol.Y[sol.Y == 0.0]).any()
+        assert linalg.read_matrix_csv(out + "_Y.csv").tobytes() == \
+            sol.Y.tobytes()
 
     def test_zero_matrix(self, tmp_path):
         mat = _write_matrix(tmp_path / "z.csv", np.zeros((3, 3)))

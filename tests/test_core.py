@@ -72,6 +72,19 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(inst, np.eye(3), np.eye(2))
 
+    def test_stack_gives_each_matrix_its_own_float(self):
+        rng = _rng(2)
+        for n in (3, 8, 51):
+            D = rng.standard_normal((n, n))
+            X, Y = rng.standard_normal((2, 4, n, n))
+            inst = ProblemInstance(D, 1, 0, 0.3, 1.7)
+            f = objective(inst, X, Y)
+            assert f.shape == (4,)
+            assert f.tolist() == [objective(inst, X[b], Y[b])
+                                  for b in range(4)]
+        with pytest.raises(ValueError):
+            objective(inst, np.zeros((2, n, n - 1)), Y)
+
 
 class TestConvexityConstants:
     @pytest.mark.parametrize("lam,mu,m,L,kappa", [

@@ -261,6 +261,67 @@ class TestRankCount:
                 np.linalg.matrix_rank(A)
 
 
+class TestStacks:
+    """A stack (B, m, n) gives each matrix the bits it gets on its own."""
+
+    def test_truncated_svd(self):
+        A = _rng(20).standard_normal((5, 6, 4))
+        f = linalg.truncated_svd(A, 2)
+        for b in range(5):
+            g = linalg.truncated_svd(A[b], 2)
+            for field in ("singular_values", "left_vectors",
+                          "right_vectors"):
+                assert getattr(f, field)[b].tobytes() == \
+                    getattr(g, field).tobytes()
+            assert f.reconstruct()[b].tobytes() == g.reconstruct().tobytes()
+        with pytest.raises(ValueError):
+            linalg.truncated_svd(A, 5)
+
+    def test_top_k_per_matrix_masks(self):
+        # integer entries make ties real; budgets differ across the stack
+        rng = _rng(21)
+        n, B = 3, 40
+        M = rng.integers(-2, 3, size=(B, n, n)).astype(float)
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        zero = np.zeros((B, n, n), dtype=bool)
+        keep = np.zeros((B, n, n), dtype=bool)
+        k = 4
+        want = []
+        for b in range(B):
+            order = rng.permutation(n * n)
+            n1 = int(rng.integers(0, k + 1))
+            n0 = int(rng.integers(0, n * n - k + 1))
+            fk = [cells[c] for c in order[:n1]]
+            fz = [cells[c] for c in order[n1:n1 + n0]]
+            for mask, forced in ((keep, fk), (zero, fz)):
+                for ij in forced:
+                    mask[b][ij] = True
+            want.append(linalg.top_k_abs_select(M[b], k, forced_zero=fz,
+                                                forced_keep=fk))
+        S = linalg.top_k_abs_select(M, k, forced_zero=zero, forced_keep=keep)
+        np.testing.assert_array_equal(S, np.array(want))
+        # cells shared by the whole stack
+        S = linalg.top_k_abs_select(M, k, forced_zero=[(0, 0)],
+                                    forced_keep=[(1, 1)])
+        for b in range(B):
+            np.testing.assert_array_equal(S[b], linalg.top_k_abs_select(
+                M[b], k, forced_zero=[(0, 0)], forced_keep=[(1, 1)]))
+
+    def test_top_k_mask_errors(self):
+        M = np.ones((2, 2, 2))
+        keep = np.zeros((2, 2, 2), dtype=bool)
+        keep[1] = True
+        with pytest.raises(ValueError, match="exceed"):
+            linalg.top_k_abs_select(M, 2, forced_keep=keep)
+        with pytest.raises(ValueError, match="overlap"):
+            linalg.top_k_abs_select(M, 4, forced_zero=keep,
+                                    forced_keep=keep)
+        with pytest.raises(ValueError, match="admissible"):
+            linalg.top_k_abs_select(M, 1, forced_zero=keep)
+        with pytest.raises(ValueError, match="does not fit"):
+            linalg.top_k_abs_select(M[0], 1, forced_zero=keep)
+
+
 class TestMatrixCsv:
     def test_round_trip(self, tmp_path):
         A = _rng(10).standard_normal((3, 4))
@@ -268,11 +329,48 @@ class TestMatrixCsv:
         linalg.write_matrix_csv(path, A)
         np.testing.assert_array_equal(linalg.read_matrix_csv(path), A)
 
+    def test_bytes_are_the_per_entry_repr(self, tmp_path):
+        # the file format: one line per row, each entry the repr of its
+        # Python float, so every double round-trips, -0.0 and subnormals
+        # included
+        A = _rng(11).standard_normal((4, 3)) * np.array([[1e-3], [1.0],
+                                                         [1e3], [1.0]])
+        A[0, 0], A[1, 1], A[2, 2] = -0.0, 5e-324, 1e300
+        A[3] = [1.0, 0.1, 123456789.0]
+        path = tmp_path / "m.csv"
+        linalg.write_matrix_csv(path, A)
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                       for row in A)
+        assert path.read_text() == want
+        B = linalg.read_matrix_csv(path)
+        assert B.tobytes() == A.tobytes()
+
+    def test_reads_what_float_reads(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1, 2.5e-3 ,-0.0\n\n  +4,.5,6.\n")
+        B = linalg.read_matrix_csv(path)
+        want = np.array([[1.0, 2.5e-3, -0.0], [4.0, 0.5, 6.0]])
+        assert B.tobytes() == want.tobytes()
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,5\n")
         with pytest.raises(ValueError, match="ragged"):
             linalg.read_matrix_csv(path)
+
+    def test_error_messages(self, tmp_path):
+        # non-numeric entries name their file line; ragged rows are
+        # counted among the non-empty rows
+        path = tmp_path / "bad.csv"
+        cases = [("1,2\n\n3,x\n", f"{path}:3: non-numeric entry"),
+                 ("1,2\n3,\n", f"{path}:2: non-numeric entry"),
+                 ("1,2\n\n3,4,5\n", f"{path}:2: ragged row (3 != 2)"),
+                 ("\n \n", f"{path}: empty matrix file")]
+        for text, message in cases:
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                linalg.read_matrix_csv(path)
+            assert str(err.value) == message
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
