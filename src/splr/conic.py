@@ -11,16 +11,22 @@ vectors). Solved by two-block ADMM: alternate a projection onto the affine
 constraint (one sparse LU of AA' + I, cached for the whole solve) with a
 projection onto K, carrying a scaled dual. Deterministic.
 
+The solve checks its iterate after the first iteration, every 25th and
+the last: it tests the residuals and the duality gap, rebalances the step
+parameter rho and, with a stop target, certifies a bound (below). The
+check after iteration 1 lets a start that is already converged, or whose
+bound already reaches its target, end there.
+
 Setup sorts the rows of K once per solve so that each cone group is one
 contiguous slice: the zero rows, the nonneg rows, the first and then the
 second row of every rotated SOC, the remaining rotated-SOC rows, and the
 PSD blocks grouped by side. A projection onto K is then a fill, a
 ``np.maximum``, one vectorized rotated-SOC formula for the cones of every
-size and one stacked ``eigh`` per PSD side. The solve permutes A and b
-once and returns s and y in the problem's row order. Setup also
-Ruiz-equilibrates the data, scaling a copy of ``A.data`` in place on each
-pass, with uniform row scaling inside each rsoc/psd block (so cone
-membership is preserved).
+size and one stacked LAPACK eigendecomposition per PSD side. The solve
+permutes A and b once and returns s and y in the problem's row order.
+Setup also Ruiz-equilibrates the data, scaling a copy of ``A.data`` in
+place on each pass, with uniform row scaling inside each rsoc/psd block
+(so cone membership is preserved).
 
 Given a box lo <= x <= hi that contains every point of interest, the
 solver also certifies a lower bound from its current dual iterate, valid
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -223,12 +230,22 @@ def _project_rsoc(v, count, owner):
     return out
 
 
+def _eigh_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def _project_psd(V, side):
     """Project each consecutive side x side row-major block of V onto the
-    PSD cone: clip the eigenvalues of its symmetric part at zero."""
+    PSD cone: clip the eigenvalues of its symmetric part at zero.
+
+    The stacked eigendecomposition is numpy's own LAPACK gufunc behind
+    np.linalg.eigh(M), called without that wrapper's per-call checks; it
+    gives the same bits and still raises LinAlgError when LAPACK fails."""
     M = V.reshape(-1, side, side)
     M = 0.5 * (M + M.transpose(0, 2, 1))
-    w, Q = np.linalg.eigh(M)
+    with np.errstate(call=_eigh_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        w, Q = _eigh_lo(M, signature="d->dd")
     w = np.maximum(w, 0.0)
     return ((Q * w[:, None, :]) @ Q.transpose(0, 2, 1)).reshape(V.shape)
 
@@ -247,15 +264,20 @@ def _project(v, layout: _ConeLayout):
     return out
 
 
-def _segment_max(vals, counts):
-    """Max of each consecutive segment of vals (segment sizes in counts);
-    1.0 for an empty or all-zero segment."""
-    out = np.zeros(counts.size)
+def _segment_max(counts):
+    """The map vals -> the max of each consecutive segment of vals, with
+    segment sizes in counts; 1.0 for an empty or all-zero segment."""
     full = counts > 0
-    if vals.size:
-        out[full] = np.maximum.reduceat(vals, (np.cumsum(counts) - counts)[full])
-    out[out == 0] = 1.0
-    return out
+    starts = (np.cumsum(counts) - counts)[full]
+
+    def segment_max(vals):
+        out = np.zeros(counts.size)
+        if starts.size:
+            out[full] = np.maximum.reduceat(vals, starts)
+        out[out == 0] = 1.0
+        return out
+
+    return segment_max
 
 
 def _ruiz_equilibrate(A, b, c, layout: _ConeLayout, passes: int = 10):
@@ -268,17 +290,18 @@ def _ruiz_equilibrate(A, b, c, layout: _ConeLayout, passes: int = 10):
     row_counts = np.diff(A.indptr)
     rows = np.repeat(np.arange(m), row_counts)
     by_col = np.argsort(A.indices, kind="stable")
-    col_counts = np.bincount(A.indices, minlength=n)
+    row_max = _segment_max(row_counts)
+    col_max = _segment_max(np.bincount(A.indices, minlength=n))
     block, uniform = layout.block, layout.uniform
     nblocks = layout.block_sizes.size
+    block_sizes = np.maximum(layout.block_sizes, 1)
     for _ in range(passes):
         Aabs = np.abs(A.data)
-        r = 1.0 / np.sqrt(_segment_max(Aabs, row_counts))
+        r = 1.0 / np.sqrt(row_max(Aabs))
         # geometric mean within uniform blocks
         sums = np.bincount(block, weights=np.log(r), minlength=nblocks)
-        gm = np.exp(sums / np.maximum(layout.block_sizes, 1))
-        r = np.where(uniform, gm[block], r)
-        s = 1.0 / np.sqrt(_segment_max(Aabs[by_col], col_counts))
+        r = np.where(uniform, np.exp(sums / block_sizes)[block], r)
+        s = 1.0 / np.sqrt(col_max(Aabs[by_col]))
         A.data *= r[rows]
         A.data *= s[A.indices]
         d *= r
@@ -291,13 +314,13 @@ def _ruiz_equilibrate(A, b, c, layout: _ConeLayout, passes: int = 10):
 _CERT_SLACK = 32 * np.finfo(float).eps
 
 
-def _certifier(A, b, c, layout: _ConeLayout, box):
+def _certifier(At, b, c, layout: _ConeLayout, box):
     """The map y -> certified lower bound on c'x over the feasible x with
-    Ax + s = b, s in K and lo <= x <= hi (module docstring); -inf when it
-    is not finite. Rows of A, b and y are in the layout's sorted order."""
+    Ax + s = b, s in K and lo <= x <= hi (module docstring), given At =
+    A'; -inf when it is not finite. Rows of A, b and y are in the
+    layout's sorted order."""
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), c.shape)
               for v in box)
-    At = A.T.tocsr()
     absAt = abs(At)
     reach = np.maximum(np.abs(lo), np.abs(hi))
 
@@ -329,8 +352,9 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     box=(lo, hi) (arrays or scalars over x) adds certified_bound, a lower
     bound on c'x over the feasible points in the box that holds at any
     iterate; it only reads the solver state. With stop_at as well, every
-    25-iteration check also certifies, and the solve ends with status
-    'bound-reached' once the bound is at least stop_at.
+    check (after iteration 1, every 25th and the last) also certifies,
+    and the solve ends with status 'bound-reached' once the bound is at
+    least stop_at. Each exit certifies its iterate once.
 
     start=(x, s, y, rho) starts the iterates from an earlier solve over
     the same variables: x, s and y in the problem's row order and original
@@ -365,7 +389,8 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     # the solve runs on the rows in sorted order; s and y are put back in
     # the problem's order on return
     A0, b0, c0 = problem.A[order], problem.b[order], problem.c
-    certify = None if box is None else _certifier(A0, b0, c0, layout, box)
+    A0t = A0.T
+    certify = None if box is None else _certifier(A0t, b0, c0, layout, box)
     A, b, c, dscale, escale = _ruiz_equilibrate(A0, b0, c0, layout)
     # normalize rhs and objective scales (undone via sigb/sigc below)
     sigb = 1.0 + np.linalg.norm(b)
@@ -378,10 +403,12 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     # symmetric pattern gave the least fill of SuperLU's orderings on the
     # relaxations: 13k L+U nonzeros at n=16 against 82k for the natural
     # order and 275k for COLAMD, where a dense factor holds m^2 = 8M.
-    AAt = (A @ A.T + scipy.sparse.identity(m, format="csr")).tocsc()
-    lu = splu(AAt, permc_spec="MMD_AT_PLUS_A",
-              options={"SymmetricMode": True})
+    # AA' + I is symmetric, so the transpose of its CSR form is the CSC
+    # form splu takes
     At = A.T.tocsr()
+    AAt = A @ At + scipy.sparse.identity(m, format="csr")
+    lu = splu(AAt.T, permc_spec="MMD_AT_PLUS_A",
+              options={"SymmetricMode": True})
     Ac = A @ c
 
     # the inverse of the map back to original units below; st is the
@@ -416,7 +443,7 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
         st = _project(s + ws, layout)
         ws += s - st
 
-        if it % check_every == 0 or it == max_iters:
+        if it == 1 or it % check_every == 0 or it == max_iters:
             # residual balancing: rho starts at 1.0 and is doubled or
             # halved when the consensus and dual residuals drift apart
             rp = np.linalg.norm(s - st)
@@ -432,22 +459,27 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
             xo = sigb * escale * x
             so = sigb * st / dscale
             yo = sigc * dscale * nu
+            bound = None    # certify(yo), once the check computes it
             if not np.all(np.isfinite(x)):
                 status = "numerical-failure"
                 break
             pres = np.linalg.norm(A0 @ xo + so - b0) / bnorm
-            dres = np.linalg.norm(c0 + A0.T @ yo) / cnorm
+            dres = np.linalg.norm(c0 + A0t @ yo) / cnorm
             pobj = float(c0 @ xo)
             dobj = float(-b0 @ yo)
             gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             if max(pres, dres, gap) <= tol:
                 status = "optimal"
                 break
-            if stop_at is not None and certify(yo) >= stop_at:
-                status = "bound-reached"
-                break
+            if stop_at is not None:
+                bound = certify(yo)
+                if bound >= stop_at:
+                    status = "bound-reached"
+                    break
 
     t_end = time.perf_counter()
+    if bound is None:
+        bound = -math.inf if certify is None else certify(yo)
     if status == "max_iters" and not (np.isfinite(pres) and np.isfinite(dres)):
         status = "infeasible-suspected"
     s_out, y_out = np.empty(m), np.empty(m)
@@ -458,5 +490,4 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
                          objective_gap=float(gap),
                          objective=float(c0 @ xo), iterations=it,
                          setup_s=t_iter - t_start, solve_s=t_end - t_iter,
-                         certified_bound=(-math.inf if certify is None
-                                          else certify(yo)), rho=rho)
+                         certified_bound=bound, rho=rho)
