@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .core import ProblemInstance, SlrSolution, objective
 
 @dataclass(frozen=True)
 class SparsityPattern:
-    """Index sets forcing entries of Y to zero (I0) or into the support (I1)."""
+    """Index sets forcing entries of Y to zero (I0) or into the support (I1),
+    and their boolean n x n masks zero and keep, each built on first use."""
 
     n: int
     I0: frozenset = frozenset()
@@ -40,15 +42,33 @@ class SparsityPattern:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"index ({i},{j}) out of range for n={self.n}")
 
+    def _mask(self, cells) -> np.ndarray:
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        for ij in cells:
+            mask[ij] = True
+        mask.flags.writeable = False    # shared by every reader
+        return mask
+
+    @cached_property
+    def zero(self) -> np.ndarray:
+        return self._mask(self.I0)
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        return self._mask(self.I1)
+
     def is_complete(self, k1: int) -> bool:
         return len(self.I0) == self.n * self.n - k1 or len(self.I1) == k1
 
-    def check_against(self, k1: int) -> None:
-        n2 = self.n * self.n
+    def check(self, n: int, k1: int) -> None:
+        """ValueError unless the pattern fits n x n with <= k1 nonzeros."""
+        if self.n != n:
+            raise ValueError(f"pattern size {self.n} does not match n={n}")
         if len(self.I1) > k1:
             raise ValueError(f"|I1|={len(self.I1)} exceeds k1={k1}")
-        if len(self.I0) > n2 - k1:
-            raise ValueError(f"|I0|={len(self.I0)} exceeds n^2-k1={n2 - k1}")
+        if len(self.I0) > n * n - k1:
+            raise ValueError(f"|I0|={len(self.I0)} exceeds "
+                             f"n^2-k1={n * n - k1}")
 
 
 @dataclass
@@ -108,11 +128,9 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    fz, fk = (), ()
-    if pattern is not None:
-        pattern.check_against(k1)
-        fz, fk = pattern.I0, pattern.I1
-    return _sparse_step(np.asarray(Dtilde, dtype=float), k1, mu, fz, fk)
+    Dtilde = np.asarray(Dtilde, dtype=float)
+    zero, keep = _pattern_masks(pattern, len(Dtilde), k1)
+    return _sparse_step(Dtilde, k1, mu, zero, keep)
 
 
 def _sparse_step(Dtilde, k1: int, mu: float, zero, keep):
@@ -125,18 +143,13 @@ def _sparse_step(Dtilde, k1: int, mu: float, zero, keep):
     return np.where(S, Dtilde / (1.0 + mu), 0.0)
 
 
-def _pattern_masks(instance: ProblemInstance,
-                   pattern: SparsityPattern | None):
-    """The pattern's forced-zero and forced-keep cells as boolean masks of
-    D's shape, () for an empty set, once the pattern is checked against
-    the instance."""
+def _pattern_masks(pattern: SparsityPattern | None, n: int, k1: int):
+    """The pattern's (zero, keep) masks once it is checked against an
+    n x n matrix with budget k1; (None, None) for no pattern."""
     if pattern is None:
-        return (), ()
-    if pattern.n != instance.n:
-        raise ValueError("pattern size does not match instance")
-    pattern.check_against(instance.k1)
-    return tuple(linalg._cell_mask(cells, instance.D.shape) if cells else ()
-                 for cells in (pattern.I0, pattern.I1))
+        return None, None
+    pattern.check(n, k1)
+    return pattern.zero, pattern.keep
 
 
 _REASONS = ("max-iters", "relative-gap", "zero-objective")
@@ -186,19 +199,17 @@ def _rows(mask, sel):
 
 
 def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
-              zero=(), keep=(), svd_mode: str = "exact",
+              zero=None, keep=None, svd_mode: str = "exact",
               seed: int = 0) -> _Runs:
     """Run AM on D from each start (X[b], Y[b]) of a (B, n, n) stack.
 
     Every run follows alternating_minimization's rules on its own and gets
     the bits it would get alone; a run leaves the stack when it stops, and
     the runs still going share each step's SVD call. zero and keep are
-    forced cells as linalg.top_k_abs_select takes them, a boolean mask of
-    shape (n, n) or (B, n, n) for one per run. Randomized mode takes
-    B = 1. X and Y are overwritten.
+    forced cells as linalg.top_k_abs_select takes them: None, a boolean
+    mask of shape (n, n), or one of shape (B, n, n) for one per run.
+    Randomized mode takes B = 1. X and Y are overwritten.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     D = instance.D
     k0, k1 = instance.k0, instance.k1
     lam, mu = instance.lam, instance.mu
@@ -301,7 +312,7 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     Returns (SlrSolution, AmTrace). The trace is non-increasing.
     """
     _check_svd_mode(svd_mode)
-    zero, keep = _pattern_masks(instance, pattern)
+    zero, keep = _pattern_masks(pattern, instance.n, instance.k1)
     if init is None:
         X = np.zeros((1,) + instance.D.shape)
         Y = np.zeros_like(X)
@@ -322,12 +333,12 @@ def multistart_alternating_minimization(instance: ProblemInstance,
     Gaussian starts (Y0 = 0) drawn from default_rng(seed), run as one
     stack. The first start with the least objective wins, with its trace.
     """
-    zero, keep = _pattern_masks(instance, pattern)
+    zero, keep = _pattern_masks(pattern, instance.n, instance.k1)
     return _multistart(instance, n_starts, eps, max_iters, zero, keep, seed)
 
 
 def _multistart(instance: ProblemInstance, n_starts: int, eps: float,
-                max_iters: int = 1000, zero=(), keep=(), seed: int = 0):
+                max_iters: int = 1000, zero=None, keep=None, seed: int = 0):
     """multistart_alternating_minimization's runs for one pattern, or for
     C patterns at once given as (C, n, n) masks: every pattern x start is
     one run of a single stack, and the first least one in pattern-major
@@ -371,12 +382,11 @@ def fixed_pattern_certificate(instance: ProblemInstance,
     """
     n, k0, k1 = instance.n, instance.k0, instance.k1
     lam, mu = instance.lam, instance.mu
+    pattern.check(n, k1)
     if len(pattern.I0) != n * n - k1:
         raise ValueError("pattern is not complete (|I0| != n^2 - k1)")
     Xstar = np.asarray(Xstar, dtype=float)
-    S = np.ones((n, n))
-    for (i, j) in pattern.I0:
-        S[i, j] = 0.0
+    S = np.where(pattern.zero, 0.0, 1.0)
     Dtilde = (instance.D - S * ((instance.D - Xstar) / (1.0 + mu))) / (1.0 + lam)
     cond1 = lam + 2.0 * mu / (1.0 + mu) - 1.0
     threshold = cond1 / (1.0 + lam)

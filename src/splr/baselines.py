@@ -111,7 +111,7 @@ def spcp(D, mu_pen: float, tol: float = 1e-6, max_iters: int = 2000):
         if total == 0.0 or abs(total_prev - total) / max(total, 1e-15) < tol:
             break
         total_prev = total
-    rank_count = int(np.sum(sX > 1e-2))
+    rank_count = linalg.rank_count(sX, atol=1e-2)
     sparsity_count = int(np.sum(np.abs(Y) > 1e-2))
     sol = SlrSolution(X=X, Y=Y, objective=_fit(D, X, Y),
                       rank_of_X=rank_count, nnz_of_Y=sparsity_count)

@@ -38,6 +38,10 @@ from .altmin import SparsityPattern, _multistart, alternating_minimization
 from .core import ProblemInstance, SlrSolution
 from .relaxations import bound_gap, build_perspective_relaxation
 
+# the node solves' ADMM tolerance and the search's AM stopping decrease
+_SOLVER_TOL = 1e-5
+_AM_EPS = 1e-6
+
 # matrix entries per stacked chunk of exhaustive_oracle's runs: each
 # (B, n, n) float array of a chunk takes at most 8 MB
 _STACK_ENTRIES = 1 << 20
@@ -69,17 +73,15 @@ def select_branch_entry(Z_fractional, pattern: SparsityPattern):
     """Most-fractional branching: the free index minimizing |Z_ij - 0.5|,
     ties broken in row-major order."""
     score = np.abs(np.asarray(Z_fractional, dtype=float) - 0.5)
-    taken = pattern.I0 | pattern.I1
-    if len(taken) == score.size:
+    taken = pattern.zero | pattern.keep
+    if taken.all():
         raise ValueError("pattern is complete; nothing to branch on")
-    if taken:
-        score[tuple(zip(*taken))] = np.inf
+    score[taken] = np.inf
     return divmod(int(np.argmin(score)), score.shape[1])
 
 
 def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
-                     node_limit: int = 100000, solver_tol: float = 1e-5,
-                     am_eps: float = 1e-6) -> BnbResult:
+                     node_limit: int = 100000) -> BnbResult:
     """Certify a near-optimal decomposition by enumerating sparsity patterns.
 
     Terminates when (ub - lb)/ub <= eps, the tree is exhausted, or
@@ -91,7 +93,7 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
     n = instance.n
     t0 = time.perf_counter()
 
-    incumbent, _ = alternating_minimization(instance, eps=am_eps)
+    incumbent, _ = alternating_minimization(instance, eps=_AM_EPS)
     ub = incumbent.objective
 
     # the whole search state: a best-bound heap of (inherited lower bound,
@@ -126,7 +128,7 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
         nodes_explored += 1
 
         model = build_perspective_relaxation(instance, pattern)
-        res = model.solve(tol=solver_tol, upper_bound=ub,
+        res = model.solve(tol=_SOLVER_TOL, upper_bound=ub,
                           stop_at=(1.0 - eps) * ub if ub > 0 else None,
                           start=parent)
         fathomed += res.solver_status == "bound-reached"
@@ -137,7 +139,7 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
         if lb_node >= ub:
             pass    # pruned
         elif pattern.is_complete(instance.k1):
-            sol, _ = alternating_minimization(instance, eps=am_eps,
+            sol, _ = alternating_minimization(instance, eps=_AM_EPS,
                                               pattern=pattern)
             if sol.objective < ub:
                 ub = sol.objective

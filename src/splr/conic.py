@@ -60,10 +60,23 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 
-@dataclass
+_KINDS = ("zero", "nonneg", "rsoc", "psd")
+
+
+@dataclass(frozen=True)
 class Cone:
     kind: str  # zero | nonneg | rsoc | psd
-    dim: int   # row count; for psd this is side*side
+    dim: int   # row count: at least 2 for rsoc, side*side for psd
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown cone kind {self.kind!r}")
+        if self.dim < 0:
+            raise ValueError(f"cone dim {self.dim} is negative")
+        if self.kind == "rsoc" and self.dim < 2:
+            raise ValueError("rotated SOC needs dimension >= 2")
+        if self.kind == "psd" and self.side ** 2 != self.dim:
+            raise ValueError(f"psd dim {self.dim} is not a perfect square")
 
     @property
     def side(self) -> int:
@@ -81,8 +94,6 @@ def nonneg_cone(dim):
 
 
 def rsoc_cone(dim):
-    if dim < 2:
-        raise ValueError("rotated SOC needs dimension >= 2")
     return Cone("rsoc", dim)
 
 
@@ -90,20 +101,10 @@ def psd_cone(side):
     return Cone("psd", side * side)
 
 
-_KINDS = ("zero", "nonneg", "rsoc", "psd")
-
-
-def _check_cone(cone: Cone) -> None:
-    if cone.kind not in _KINDS:
-        raise ValueError(f"unknown cone kind {cone.kind!r}")
-    if cone.kind == "rsoc" and cone.dim < 2:
-        raise ValueError("rotated SOC needs dimension >= 2")
-    if cone.kind == "psd" and cone.side ** 2 != cone.dim:
-        raise ValueError(f"psd cone dim {cone.dim} is not a perfect square")
-
-
 @dataclass
 class ConicProblem:
+    """A cone program; it holds a float CSR A's arrays without copying."""
+
     c: np.ndarray
     A: scipy.sparse.csr_matrix
     b: np.ndarray
@@ -114,10 +115,7 @@ class ConicProblem:
 
         self.c = np.asarray(self.c, dtype=float).ravel()
         self.b = np.asarray(self.b, dtype=float).ravel()
-        if not scipy.sparse.issparse(self.A):
-            self.A = scipy.sparse.csr_matrix(np.asarray(self.A, dtype=float))
-        else:
-            self.A = self.A.tocsr().astype(float)
+        self.A = scipy.sparse.csr_matrix(self.A, dtype=float)
         m, n = self.A.shape
         if m == 0:
             raise ValueError("a cone program needs at least one row")
@@ -125,8 +123,6 @@ class ConicProblem:
             raise ValueError(f"c has size {self.c.size}, expected {n}")
         if self.b.size != m:
             raise ValueError(f"b has size {self.b.size}, expected {m}")
-        for co in self.cones:
-            _check_cone(co)
         total = sum(co.dim for co in self.cones)
         if total != m:
             raise ValueError(f"cone dims sum to {total}, expected {m} rows")
@@ -166,8 +162,8 @@ class _ConeLayout:
     gives each of their remaining rows its cone's rank among them; psd
     lists (side, slice) per PSD side. block and uniform give each sorted
     row its cone index and whether the Ruiz scaling must be uniform over
-    that cone; block_sizes gives each cone's row count. The cones must
-    have passed _check_cone.
+    that cone; block_sizes gives each cone's row count. Each Cone checks
+    its kind and dim when it is made.
     """
 
     def __init__(self, cones):

@@ -85,36 +85,29 @@ def randomized_svd(A, k: int, seed: int = 0,
                                  W @ Vt[:k].T)
 
 
-def _cell_mask(cells, shape):
-    """Boolean mask of forced cells for a matrix or stack of the given shape,
-    or None when there are none. cells is a boolean array that broadcasts
-    to shape, or (i, j) pairs, each inside the matrix."""
-    if isinstance(cells, np.ndarray) and cells.dtype == bool:
-        if np.broadcast_shapes(cells.shape, shape) != shape:
-            raise ValueError(f"a forced-cell mask of shape {cells.shape} "
-                             f"does not fit shape {shape}")
-        return cells
-    rows, cols = shape[-2:]
-    mask = None
-    for i, j in cells:
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"forced cell ({i}, {j}) outside a matrix of "
-                             f"shape {shape}")
-        if mask is None:
-            mask = np.zeros((rows, cols), dtype=bool)
-        mask[i, j] = True
+def _cell_mask(mask, shape):
+    """mask, None or a boolean array of forced cells that broadcasts to
+    shape."""
+    if mask is None:
+        return None
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+        raise ValueError("forced cells must be a boolean mask")
+    if np.broadcast_shapes(mask.shape, shape) != shape:
+        raise ValueError(f"a forced-cell mask of shape {mask.shape} "
+                         f"does not fit shape {shape}")
     return mask
 
 
-def top_k_abs_select(M, k: int, forced_zero=(), forced_keep=()) -> np.ndarray:
+def top_k_abs_select(M, k: int, forced_zero=None,
+                     forced_keep=None) -> np.ndarray:
     """Binary matrix marking the k largest-|entry| positions of M.
 
     forced_keep positions are always selected and forced_zero never are;
     remaining slots go to the largest |M_ij| among free positions, ties
-    broken in row-major order. A forced cell outside M is a ValueError.
-    M may be a stack (..., m, n) of matrices, each selected on its own.
-    Forced cells are (i, j) pairs, the same for every matrix of a stack,
-    or a boolean array that broadcasts to the shape of M.
+    broken in row-major order. M may be a stack (..., m, n) of matrices,
+    each selected on its own. Forced cells are boolean masks that
+    broadcast to the shape of M: one (m, n) mask is shared by a stack, a
+    stacked mask gives each matrix its own; None forces nothing.
     """
     M = _as_matrix(M, stack=True)
     zero = _cell_mask(forced_zero, M.shape)

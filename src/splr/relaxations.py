@@ -248,13 +248,6 @@ def _is_symmetric(D):
     return np.abs(D - D.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(D).max(initial=0.0))
 
 
-def _check_pattern(instance: ProblemInstance, pattern):
-    if pattern is not None:
-        if pattern.n != instance.n:
-            raise ValueError("pattern size does not match instance")
-        pattern.check_against(instance.k1)
-
-
 def _bounds(D, beta, gamma):
     """beta and gamma, defaulting to ||D||_2 and max |D_ij| (any valid
     upper bounds on the optimal X and Y preserve correctness)."""
@@ -299,6 +292,8 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
     q = sqrt(tr(Theta)) has ||D||^2 - 2 ||D|| q + (1+lam) q^2 <= U, which
     bounds q by the root s below."""
     n = len(D)
+    if pattern is not None:
+        pattern.check(n, k1)
     lowrank = k1 == 0 or (pattern is not None and len(pattern.I0) == n * n)
     bld = _ConeProgramBuilder()
     if lowrank:
@@ -384,7 +379,6 @@ def build_perspective_relaxation(instance: ProblemInstance,
     If rho1/rho2 are given, the trace and cardinality budgets are replaced
     by penalty terms rho1*tr(P) + rho2*<E, Z> in the objective.
     """
-    _check_pattern(instance, pattern)
     if min(rho1 or 0.0, rho2 or 0.0) < 0:
         raise ValueError("rho1 and rho2 must be nonnegative")
     D, tau = _normalized(instance.D)
@@ -405,7 +399,6 @@ def build_strengthened_relaxation(instance: ProblemInstance,
     upper bounds on the optimal X and Y preserve correctness).
     """
     beta, gamma = _bounds(instance.D, beta, gamma)
-    _check_pattern(instance, pattern)
     D, tau = _normalized(instance.D)
     return _build_perspective(D, tau, instance.k0, instance.k1, instance.lam,
                               instance.mu, pattern,

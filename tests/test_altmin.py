@@ -39,13 +39,28 @@ class TestSparsityPattern:
         assert SparsityPattern(2, I1={(0, 1)}).is_complete(1)
         assert not SparsityPattern(2).is_complete(1)
 
-    def test_check_against(self):
-        SparsityPattern(2, I1={(0, 0)}).check_against(1)
-        with pytest.raises(ValueError):
-            SparsityPattern(2, I1={(0, 0), (1, 1)}).check_against(1)
-        with pytest.raises(ValueError):
+    def test_check(self):
+        SparsityPattern(2, I1={(0, 0)}).check(2, 1)
+        with pytest.raises(ValueError, match="exceeds k1"):
+            SparsityPattern(2, I1={(0, 0), (1, 1)}).check(2, 1)
+        with pytest.raises(ValueError, match="exceeds n"):
             SparsityPattern(2, I0={(i, j) for i in range(2)
-                                   for j in range(2)}).check_against(1)
+                                   for j in range(2)}).check(2, 1)
+        with pytest.raises(ValueError, match="does not match"):
+            SparsityPattern(2, I1={(0, 0)}).check(3, 1)
+
+    def test_masks(self):
+        pattern = SparsityPattern(3, I0={(0, 1), (2, 0)}, I1=[(1, 1)])
+        np.testing.assert_array_equal(
+            pattern.zero, [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
+        np.testing.assert_array_equal(
+            pattern.keep, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+        assert pattern.zero.dtype == bool and pattern.keep.dtype == bool
+        # built once, on first use, and read-only
+        assert pattern.zero is pattern.zero
+        assert not pattern.keep.flags.writeable
+        assert "keep" not in vars(SparsityPattern(3, I1={(0, 0)}))
+        assert not SparsityPattern(2).zero.any()
 
 
 class TestIterationBound:
@@ -160,6 +175,14 @@ class TestSparseSubproblem:
         with pytest.raises(ValueError):
             solve_sparse_subproblem(np.eye(2), 1, 1.0,
                                     SparsityPattern(2, I1={(0, 0), (1, 1)}))
+
+    def test_pattern_size_mismatch(self):
+        # a 3 x 3 pattern's cells all lie inside a 4 x 4 matrix, so only
+        # the size check rejects it
+        with pytest.raises(ValueError, match="does not match"):
+            solve_sparse_subproblem(np.eye(4), 2, 1.0,
+                                    SparsityPattern(3, I0={(0, 0)},
+                                                    I1={(1, 1)}))
 
 
 class TestAlternatingMinimization:
@@ -515,6 +538,15 @@ class TestFixedPatternCertificate:
         inst = ProblemInstance(np.eye(3), 1, 2, 1.0, 1.0)
         with pytest.raises(ValueError):
             fixed_pattern_certificate(inst, SparsityPattern(3), np.eye(3))
+
+    def test_pattern_size_mismatch(self):
+        # a 5 x 5 pattern that forces 16 - k1 cells of the top-left 4 x 4
+        # block to zero has the |I0| of a complete 4 x 4 pattern
+        inst = ProblemInstance(np.eye(4), 1, 2, 1.0, 1.0)
+        cells = [(i, j) for i in range(4) for j in range(4)]
+        pattern = SparsityPattern(5, I0=cells[2:])
+        with pytest.raises(ValueError, match="does not match"):
+            fixed_pattern_certificate(inst, pattern, np.zeros((4, 4)))
 
     def test_degenerate_flag(self):
         # X* = 0 and D with a vanishing k0-th singular value of Dtilde

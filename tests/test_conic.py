@@ -73,12 +73,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             rsoc_cone(1)
 
-    @pytest.mark.parametrize("cone", [Cone("exp", 2), Cone("psd", 5),
-                                      Cone("rsoc", 1)])
+    @pytest.mark.parametrize("cone", [("exp", 2), ("psd", 5), ("rsoc", 1),
+                                      ("nonneg", -1), ("psd", -4)])
     def test_malformed_cone_rejected_at_build(self, cone):
-        m = cone.dim
+        # a Cone checks its kind and dim when it is made, so a malformed
+        # one never reaches a problem
         with pytest.raises(ValueError):
-            _problem([1.0], np.ones((m, 1)), np.zeros(m), [cone])
+            Cone(*cone)
+
+    def test_cone_is_frozen(self):
+        cone = rsoc_cone(3)
+        with pytest.raises(AttributeError):
+            cone.dim = 1
+
+    def test_solve_leaves_A_unchanged(self):
+        # the problem holds a float CSR matrix's arrays as they are, and
+        # the solve scales and permutes copies of them
+        data = experiments.generate_instance(3, 1, 2, 1.0, 0)
+        built = build_perspective_relaxation(
+            ProblemInstance(data.D, 1, 2, 0.5, 0.5)).problem
+        A = built.A
+        prob = ConicProblem(c=built.c, A=A, b=built.b, cones=built.cones)
+        assert all(np.shares_memory(getattr(prob.A, f), getattr(A, f))
+                   for f in ("data", "indices", "indptr"))
+        before = [v.copy() for v in (A.data, A.indices, A.indptr)]
+        solve_conic(prob, max_iters=30)
+        for v, w in zip((A.data, A.indices, A.indptr), before):
+            np.testing.assert_array_equal(v, w)
 
 
 class TestProjections:

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splr import linalg
+from splr.altmin import SparsityPattern
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _mask(n, cells):
+    """Boolean n x n mask of the given (i, j) cells."""
+    mask = np.zeros((n, n), dtype=bool)
+    for ij in cells:
+        mask[ij] = True
+    return mask
 
 
 class TestTruncatedSvd:
@@ -117,8 +126,8 @@ class TestTopKAbsSelect:
 
     def test_forcing(self):
         M = np.array([[5.0, 4.0], [3.0, 2.0]])
-        S = linalg.top_k_abs_select(M, 2, forced_zero={(0, 0)},
-                                    forced_keep={(1, 1)})
+        S = linalg.top_k_abs_select(M, 2, forced_zero=_mask(2, [(0, 0)]),
+                                    forced_keep=_mask(2, [(1, 1)]))
         np.testing.assert_array_equal(S, [[0, 1], [0, 1]])
 
     def test_row_major_ties(self):
@@ -143,31 +152,37 @@ class TestTopKAbsSelect:
 
     def test_errors(self):
         M = np.ones((2, 2))
-        with pytest.raises(ValueError):
-            linalg.top_k_abs_select(M, 1, forced_zero={(0, 0)},
-                                    forced_keep={(0, 0)})
-        with pytest.raises(ValueError):
-            linalg.top_k_abs_select(M, 1, forced_keep={(0, 0), (1, 1)})
-        with pytest.raises(ValueError):
-            linalg.top_k_abs_select(M, 4, forced_zero={(0, 0)})
+        with pytest.raises(ValueError, match="overlap"):
+            linalg.top_k_abs_select(M, 1, forced_zero=_mask(2, [(0, 0)]),
+                                    forced_keep=_mask(2, [(0, 0)]))
+        with pytest.raises(ValueError, match="exceed"):
+            linalg.top_k_abs_select(M, 1,
+                                    forced_keep=_mask(2, [(0, 0), (1, 1)]))
+        with pytest.raises(ValueError, match="admissible"):
+            linalg.top_k_abs_select(M, 4, forced_zero=_mask(2, [(0, 0)]))
+        # forced cells come as boolean masks only
+        with pytest.raises(ValueError, match="boolean mask"):
+            linalg.top_k_abs_select(M, 1, forced_zero={(0, 0)})
+        with pytest.raises(ValueError, match="boolean mask"):
+            linalg.top_k_abs_select(M, 1, forced_keep=np.eye(2))
 
     @pytest.mark.parametrize("cells", [[(0, 15)], [(4, 0)], [(0, -1)],
                                        [(-1, 2)], [(1, 1), (3, 4)]])
     def test_forced_cell_outside_rejected(self, cells):
-        # flat index 15 is cell (3, 3) of a 4 x 4 matrix, so (0, 15) must
-        # not stand for it
-        M = np.arange(16.0).reshape(4, 4)
-        with pytest.raises(ValueError, match="outside"):
-            linalg.top_k_abs_select(M, 2, forced_zero=cells)
-        with pytest.raises(ValueError, match="outside"):
-            linalg.top_k_abs_select(M, 2, forced_keep=cells)
+        # forced cells reach the selection as a pattern's masks, so the
+        # pattern's range check is the one that rejects a cell outside the
+        # matrix; flat index 15 is cell (3, 3) of a 4 x 4 matrix, so
+        # (0, 15) must not stand for it
+        with pytest.raises(ValueError, match="out of range"):
+            SparsityPattern(4, I0=cells)
+        with pytest.raises(ValueError, match="out of range"):
+            SparsityPattern(4, I1=cells)
 
     def test_matches_bruteforce_with_forcing(self):
         # the reference is the first max-|M| support among the admissible
         # ones in lexicographic order, which is the row-major tie rule;
         # integer entries make the sums exact, so ties are real
         rng = _rng(9)
-        kinds = (list, set, frozenset)
         for trial in range(60):
             n = int(rng.integers(2, 5))
             M = rng.integers(-3, 4, size=(n, n)).astype(float)
@@ -187,16 +202,20 @@ class TestTopKAbsSelect:
             want = np.zeros((n, n))
             for ij in keep + list(ref):
                 want[ij] = 1.0
-            kind = kinds[trial % 3]
+            pattern = SparsityPattern(n, zero, keep)
             S = linalg.top_k_abs_select(M, n1 + budget,
-                                        forced_zero=kind(zero),
-                                        forced_keep=kind(keep))
+                                        forced_zero=pattern.zero,
+                                        forced_keep=pattern.keep)
             np.testing.assert_array_equal(S, want)
 
     def test_repeated_forced_cells_count_once(self):
+        # a pattern keeps each cell once, so its masks and its budget
+        # check count a repeated cell once
         M = np.array([[5.0, 4.0], [3.0, 2.0]])
-        S = linalg.top_k_abs_select(M, 2, forced_zero=[(0, 0), (0, 0)],
-                                    forced_keep=[(1, 1), (1, 1)])
+        pattern = SparsityPattern(2, [(0, 0), (0, 0)], [(1, 1), (1, 1)])
+        pattern.check(2, 1)
+        S = linalg.top_k_abs_select(M, 2, forced_zero=pattern.zero,
+                                    forced_keep=pattern.keep)
         np.testing.assert_array_equal(S, [[0, 1], [0, 1]])
 
 
@@ -296,16 +315,16 @@ class TestStacks:
             for mask, forced in ((keep, fk), (zero, fz)):
                 for ij in forced:
                     mask[b][ij] = True
-            want.append(linalg.top_k_abs_select(M[b], k, forced_zero=fz,
-                                                forced_keep=fk))
+            want.append(linalg.top_k_abs_select(
+                M[b], k, forced_zero=zero[b], forced_keep=keep[b]))
         S = linalg.top_k_abs_select(M, k, forced_zero=zero, forced_keep=keep)
         np.testing.assert_array_equal(S, np.array(want))
-        # cells shared by the whole stack
-        S = linalg.top_k_abs_select(M, k, forced_zero=[(0, 0)],
-                                    forced_keep=[(1, 1)])
+        # one (n, n) mask shared by the whole stack
+        fz, fk = _mask(n, [(0, 0)]), _mask(n, [(1, 1)])
+        S = linalg.top_k_abs_select(M, k, forced_zero=fz, forced_keep=fk)
         for b in range(B):
             np.testing.assert_array_equal(S[b], linalg.top_k_abs_select(
-                M[b], k, forced_zero=[(0, 0)], forced_keep=[(1, 1)]))
+                M[b], k, forced_zero=fz, forced_keep=fk))
 
     def test_top_k_mask_errors(self):
         M = np.ones((2, 2, 2))
