@@ -134,12 +134,13 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
 
 
 def _sparse_step(Dtilde, k1: int, mu: float, zero, keep):
-    """Sparse update of a float Dtilde, a matrix or a stack, with forced
-    cells as linalg.top_k_abs_select takes them. Entries off the support
-    are +0.0 (a product with the 0/1 selection would write -0.0 where
-    Dtilde is negative)."""
-    S = linalg.top_k_abs_select(Dtilde, k1, forced_zero=zero,
-                                forced_keep=keep)
+    """Sparse update of a float Dtilde, a matrix or a stack, with (n, n)
+    forced-cell masks or None; a (B, n, n) keep stack with zero None is
+    each run's complete support, which the selection would return. Entries
+    off the support are +0.0 (a product with the 0/1 selection would write
+    -0.0 where Dtilde is negative)."""
+    S = keep if keep is not None and keep.ndim == 3 else \
+        linalg.top_k_abs_select(Dtilde, k1, zero, keep)
     return np.where(S, Dtilde / (1.0 + mu), 0.0)
 
 
@@ -192,12 +193,6 @@ class _Runs:
         return sol, trace
 
 
-def _rows(mask, sel):
-    """The rows sel of a per-run mask; a shared one as it is."""
-    return mask[sel] if isinstance(mask, np.ndarray) and mask.ndim == 3 \
-        else mask
-
-
 def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
               zero=None, keep=None, svd_mode: str = "exact",
               seed: int = 0) -> _Runs:
@@ -206,10 +201,12 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
     Every run follows alternating_minimization's rules on its own and gets
     the bits it would get alone; a run leaves the stack when it stops, and
     the runs still going share each step's SVD call. zero and keep are
-    forced cells as linalg.top_k_abs_select takes them: None, a boolean
-    mask of shape (n, n), or one of shape (B, n, n) for one per run.
+    forced cells as _sparse_step takes them: None or (n, n) masks shared
+    by every run, or a (B, n, n) keep stack of complete supports, one per
+    run, with zero None; only that stack follows the runs still going.
     Randomized mode takes B = 1. X and Y are overwritten.
     """
+    stacked = keep is not None and keep.ndim == 3
     D = instance.D
     k0, k1 = instance.k0, instance.k1
     lam, mu = instance.lam, instance.mu
@@ -229,7 +226,8 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
     Xr, Yr, fr, svr = X, Y, f, sv
     if run.size < B:
         Xr, Yr, fr, svr = X[run], Y[run], f[run], sv[run]
-        zero, keep = _rows(zero, run), _rows(keep, run)
+        if stacked:
+            keep = keep[run]
     V = None
     t = 0
     # a run going has f > 0, so only a step to f = 0 divides by 0 below,
@@ -277,7 +275,8 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
             run, Xr, Yr, fr, svr = (run[go], X_t[go], Y_t[go], f_t[go],
                                     sv_t[go])
             runs = run.tolist()
-            zero, keep = _rows(zero, go), _rows(keep, go)
+            if stacked:
+                keep = keep[go]
 
     if svd_mode == "randomized" and iterations[0] > 0:
         # one exact step makes X a true minimizer for the final Y
@@ -339,19 +338,22 @@ def multistart_alternating_minimization(instance: ProblemInstance,
 
 def _multistart(instance: ProblemInstance, n_starts: int, eps: float,
                 max_iters: int = 1000, zero=None, keep=None, seed: int = 0):
-    """multistart_alternating_minimization's runs for one pattern, or for
-    C patterns at once given as (C, n, n) masks: every pattern x start is
-    one run of a single stack, and the first least one in pattern-major
-    order is returned as (SlrSolution, AmTrace)."""
+    """multistart_alternating_minimization's runs for one pattern's (n, n)
+    masks, or for C complete supports at once given as a (C, n, n) keep
+    stack with zero None: every support x start is one run of a single
+    stack, and the first least one in support-major order is returned as
+    (SlrSolution, AmTrace)."""
+    if n_starts < 1:
+        raise ValueError(f"n_starts={n_starts} must be at least 1")
     n = instance.n
     rng = np.random.default_rng(seed)
     starts = np.stack([np.zeros((n, n))] + [rng.standard_normal((n, n))
                                             for _ in range(n_starts - 1)])
-    # a per-pattern mask has one row per pattern, repeated for each start
-    C = max((len(m) for m in (zero, keep) if np.ndim(m) == 3), default=1)
-    zero, keep = (np.repeat(m, len(starts), axis=0) if np.ndim(m) == 3
-                  else m for m in (zero, keep))
-    X = np.tile(starts, (C, 1, 1))
+    X = starts
+    if keep is not None and keep.ndim == 3:
+        # one run per support x start, support-major
+        X = np.tile(starts, (len(keep), 1, 1))
+        keep = np.repeat(keep, n_starts, axis=0)
     runs = _am_stack(instance, X, np.zeros_like(X), eps, max_iters, zero,
                      keep)
     return runs.pick(int(np.argmin(runs.f)), instance)

@@ -171,9 +171,9 @@ def exhaustive_oracle(instance: ProblemInstance, n_starts: int = 3,
     """Brute-force reference: the best alternating-minimization solution
     over every size-k1 support, each support's value being what
     multistart_alternating_minimization finds on its complete pattern; the
-    first least one in enumeration order wins. Every support x start runs
-    in one stacked AM pass per chunk of _STACK_ENTRIES matrix entries.
-    Guarded against combinatorial blowup."""
+    first least one in enumeration order wins. Every support x start runs,
+    with its support as its keep mask, in one stacked AM pass per chunk
+    of _STACK_ENTRIES matrix entries. Guarded against combinatorial blowup."""
     n, k1 = instance.n, instance.k1
     n2 = n * n
     if math.comb(n2, k1) > guard:
@@ -186,8 +186,7 @@ def exhaustive_oracle(instance: ProblemInstance, n_starts: int = 3,
         keep[np.arange(len(chunk))[:, None],
              np.array(chunk, dtype=np.intp).reshape(len(chunk), k1)] = True
         keep = keep.reshape(-1, n, n)
-        sol, _ = _multistart(instance, n_starts, am_eps, zero=~keep,
-                             keep=keep)
+        sol, _ = _multistart(instance, n_starts, am_eps, keep=keep)
         if best is None or sol.objective < best.objective:
             best = sol
     return best, best.objective

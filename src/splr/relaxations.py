@@ -10,8 +10,8 @@ Three families are provided:
 * a strengthened variant combining both with coupling boxes -gamma*Z <= Y
   <= gamma*Z and spectral blocks built from row/column projection variables.
 
-When the sparse part is forced to vanish (k1 = 0 or every entry forced
-zero), the residual quadratic in X is replaced by its exact linearization
+When k1 = 0 forces the sparse part to vanish, the residual quadratic in
+X is replaced by its exact linearization
 ||D||^2 - 2<D, X> + (1+lam)*tr(Theta), which is tight for the pure low-rank
 problem; keeping the quadratic there gives a strictly weaker bound.
 
@@ -277,7 +277,7 @@ def _normalized(D):
 def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
                        rho2=None, strengthen=None):
     """The perspective relaxation of unit-scale D, optionally with the
-    strengthening (beta, gamma). When Y vanishes it is the linearized
+    strengthening (beta, gamma). When k1 = 0 it is the linearized
     low-rank model: objective ||D||^2 - 2<D, X> + (1+lam)*tr(Theta) under
     the trace budget and the blocks, with no residual, Z or penalties.
 
@@ -294,7 +294,7 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
     n = len(D)
     if pattern is not None:
         pattern.check(n, k1)
-    lowrank = k1 == 0 or (pattern is not None and len(pattern.I0) == n * n)
+    lowrank = k1 == 0   # only then can a pattern force every entry zero
     bld = _ConeProgramBuilder()
     if lowrank:
         X = bld.new_vars(n, n)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from splr import linalg
+from splr import altmin, linalg
 from splr.altmin import (AmTrace, SparsityPattern, alternating_minimization,
                          fixed_pattern_certificate, iteration_bound,
                          multistart_alternating_minimization,
@@ -183,6 +183,27 @@ class TestSparseSubproblem:
             solve_sparse_subproblem(np.eye(4), 2, 1.0,
                                     SparsityPattern(3, I0={(0, 0)},
                                                     I1={(1, 1)}))
+
+    @pytest.mark.parametrize("k1", [0, 1, 4])
+    def test_support_stack_matches_complete_patterns(self, k1):
+        # a (B, n, n) keep stack gives each run its complete support, as
+        # exhaustive_oracle passes it; negative entries off the support
+        # must come out +0.0
+        rng = _rng(5 + k1)
+        n, B, mu = 3, 12, 0.7
+        Dtilde = rng.standard_normal((B, n, n))
+        keep = np.zeros((B, n * n), dtype=bool)
+        for b in range(B):
+            keep[b, rng.permutation(n * n)[:k1]] = True
+        keep = keep.reshape(B, n, n)
+        Y = altmin._sparse_step(Dtilde, k1, mu, None, keep)
+        for b in range(B):
+            support = list(zip(*np.nonzero(keep[b])))
+            ref = solve_sparse_subproblem(Dtilde[b], k1, mu,
+                                          _full_pattern(n, support))
+            assert Y[b].tobytes() == ref.tobytes()
+        assert (Dtilde[~keep] < 0).any()
+        assert not np.signbit(Y[~keep]).any()
 
 
 class TestAlternatingMinimization:
@@ -470,6 +491,13 @@ class TestMultistart:
         single, _ = alternating_minimization(inst)
         multi, _ = multistart_alternating_minimization(inst, n_starts=4)
         assert multi.objective <= single.objective + 1e-12
+
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_needs_one_start(self, n_starts):
+        inst = ProblemInstance(_rng(15).standard_normal((3, 3)), 1, 2,
+                               0.5, 0.5)
+        with pytest.raises(ValueError, match="n_starts"):
+            multistart_alternating_minimization(inst, n_starts=n_starts)
 
     def test_deterministic(self):
         inst = ProblemInstance(_rng(14).standard_normal((5, 5)), 1, 3,

@@ -123,6 +123,14 @@ class TestExhaustiveOracle:
             exhaustive_oracle(inst, guard=1000)
 
 
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_oracle_needs_one_start(n_starts):
+    inst = ProblemInstance(np.random.default_rng(2).standard_normal((3, 3)),
+                           1, 2, 0.5, 0.5)
+    with pytest.raises(ValueError, match="n_starts"):
+        exhaustive_oracle(inst, n_starts=n_starts)
+
+
 class TestBranchAndBound:
     def test_tight_root_witness(self):
         inst = ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0)

@@ -165,6 +165,11 @@ class TestTopKAbsSelect:
             linalg.top_k_abs_select(M, 1, forced_zero={(0, 0)})
         with pytest.raises(ValueError, match="boolean mask"):
             linalg.top_k_abs_select(M, 1, forced_keep=np.eye(2))
+        # np.partition would take a k outside [0, m*n] from the other end
+        for k in (5, 6, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                linalg.top_k_abs_select(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                        k)
 
     @pytest.mark.parametrize("cells", [[(0, 15)], [(4, 0)], [(0, -1)],
                                        [(-1, 2)], [(1, 1), (3, 4)]])
@@ -296,30 +301,12 @@ class TestStacks:
         with pytest.raises(ValueError):
             linalg.truncated_svd(A, 5)
 
-    def test_top_k_per_matrix_masks(self):
-        # integer entries make ties real; budgets differ across the stack
+    def test_top_k_shared_masks(self):
+        # one (n, n) mask pair shared by the whole stack; integer entries
+        # make ties real
         rng = _rng(21)
-        n, B = 3, 40
+        n, B, k = 3, 40, 4
         M = rng.integers(-2, 3, size=(B, n, n)).astype(float)
-        cells = [(i, j) for i in range(n) for j in range(n)]
-        zero = np.zeros((B, n, n), dtype=bool)
-        keep = np.zeros((B, n, n), dtype=bool)
-        k = 4
-        want = []
-        for b in range(B):
-            order = rng.permutation(n * n)
-            n1 = int(rng.integers(0, k + 1))
-            n0 = int(rng.integers(0, n * n - k + 1))
-            fk = [cells[c] for c in order[:n1]]
-            fz = [cells[c] for c in order[n1:n1 + n0]]
-            for mask, forced in ((keep, fk), (zero, fz)):
-                for ij in forced:
-                    mask[b][ij] = True
-            want.append(linalg.top_k_abs_select(
-                M[b], k, forced_zero=zero[b], forced_keep=keep[b]))
-        S = linalg.top_k_abs_select(M, k, forced_zero=zero, forced_keep=keep)
-        np.testing.assert_array_equal(S, np.array(want))
-        # one (n, n) mask shared by the whole stack
         fz, fk = _mask(n, [(0, 0)]), _mask(n, [(1, 1)])
         S = linalg.top_k_abs_select(M, k, forced_zero=fz, forced_keep=fk)
         for b in range(B):
@@ -328,17 +315,19 @@ class TestStacks:
 
     def test_top_k_mask_errors(self):
         M = np.ones((2, 2, 2))
-        keep = np.zeros((2, 2, 2), dtype=bool)
-        keep[1] = True
+        keep = _mask(2, [(0, 0), (1, 1)])
         with pytest.raises(ValueError, match="exceed"):
-            linalg.top_k_abs_select(M, 2, forced_keep=keep)
+            linalg.top_k_abs_select(M, 1, forced_keep=keep)
         with pytest.raises(ValueError, match="overlap"):
             linalg.top_k_abs_select(M, 4, forced_zero=keep,
                                     forced_keep=keep)
         with pytest.raises(ValueError, match="admissible"):
-            linalg.top_k_abs_select(M, 1, forced_zero=keep)
+            linalg.top_k_abs_select(M, 3, forced_zero=keep)
+        # a mask per matrix of the stack is not taken
         with pytest.raises(ValueError, match="does not fit"):
-            linalg.top_k_abs_select(M[0], 1, forced_zero=keep)
+            linalg.top_k_abs_select(M, 1, forced_zero=np.stack([keep, keep]))
+        with pytest.raises(ValueError, match="does not fit"):
+            linalg.top_k_abs_select(np.ones((3, 3)), 1, forced_zero=keep)
 
 
 class TestMatrixCsv:
