@@ -4,14 +4,15 @@ Both subproblems have closed forms: the low-rank step is a scaled truncated
 SVD and the sparse step is a scaled hard threshold. The main driver supports
 partial sparsity patterns (forced zero / forced nonzero entries), randomized
 SVD acceleration, and an a-posteriori global-optimality certificate for
-complete patterns. One loop, _am_stack, runs AM on a stack of starts that
-share D: a single run, multistart's starts, or the exhaustive oracle's
-supports x starts.
+complete patterns; forced cells are handled only here. One loop, _am_stack,
+runs AM on a stack of starts that share D (a single run, multistart's
+starts, or the exhaustive oracle's supports x starts).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,15 +33,21 @@ class SparsityPattern:
     I1: frozenset = frozenset()
 
     def __post_init__(self):
-        I0 = frozenset(map(tuple, self.I0))
-        I1 = frozenset(map(tuple, self.I1))
-        object.__setattr__(self, "I0", I0)
-        object.__setattr__(self, "I1", I1)
-        if I0 & I1:
+        for name in ("I0", "I1"):
+            cells = frozenset(map(self._cell, getattr(self, name)))
+            object.__setattr__(self, name, cells)
+        if self.I0 & self.I1:
             raise ValueError("I0 and I1 overlap")
-        for (i, j) in I0 | I1:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"index ({i},{j}) out of range for n={self.n}")
+
+    def _cell(self, ij) -> tuple:
+        """ij as a pair (i, j) of ints inside the n x n matrix."""
+        try:
+            i, j = map(operator.index, ij)
+        except (TypeError, ValueError):
+            raise ValueError(f"{ij!r} is not a pair of integers") from None
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"index ({i},{j}) out of range for n={self.n}")
+        return i, j
 
     def _mask(self, cells) -> np.ndarray:
         mask = np.zeros((self.n, self.n), dtype=bool)
@@ -128,19 +135,29 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    Dtilde = np.asarray(Dtilde, dtype=float)
+    Dtilde = linalg._as_matrix(Dtilde, stack=True)
     zero, keep = _pattern_masks(pattern, len(Dtilde), k1)
     return _sparse_step(Dtilde, k1, mu, zero, keep)
 
 
 def _sparse_step(Dtilde, k1: int, mu: float, zero, keep):
-    """Sparse update of a float Dtilde, a matrix or a stack, with (n, n)
-    forced-cell masks or None; a (B, n, n) keep stack with zero None is
-    each run's complete support, which the selection would return. Entries
-    off the support are +0.0 (a product with the 0/1 selection would write
-    -0.0 where Dtilde is negative)."""
-    S = keep if keep is not None and keep.ndim == 3 else \
-        linalg.top_k_abs_select(Dtilde, k1, zero, keep)
+    """Sparse update of a float Dtilde (a matrix or a stack) with forced
+    cells None, one pattern's (n, n) masks, or a (B, n, n) keep stack of
+    complete supports with zero None; the top-k kernel fills the k1 - |keep|
+    slots left from the free cells, ties in row-major order. Entries off
+    the support are +0.0 (a 0/1 product would write -0.0 there)."""
+    if keep is None:
+        S = linalg.top_k_abs_select(Dtilde, k1)
+    elif keep.ndim == 3:
+        S = keep
+    else:
+        S = np.broadcast_to(keep, Dtilde.shape).copy()
+        # the pattern's check leaves at least budget free cells
+        budget = k1 - int(np.count_nonzero(keep))
+        if budget:
+            free = ~(zero | keep)
+            S[..., free] = linalg.top_k_abs_select(
+                Dtilde[..., free][..., None, :], budget)[..., 0, :]
     return np.where(S, Dtilde / (1.0 + mu), 0.0)
 
 
@@ -156,47 +173,11 @@ def _pattern_masks(pattern: SparsityPattern | None, n: int, k1: int):
 _REASONS = ("max-iters", "relative-gap", "zero-objective")
 
 
-@dataclass
-class _Runs:
-    """Final state of a stack of B AM runs. sv holds the singular values
-    kept by each run's last accepted SVD step (none if it took no step).
-    Each entry of history is (runs, objectives) after one iteration, the
-    first for the starts; runs lists the runs still going, in order, and
-    run b's trace is its objective in the first n_values[b] entries.
-    reason indexes _REASONS."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    f: np.ndarray
-    sv: np.ndarray
-    iterations: np.ndarray
-    reason: np.ndarray
-    history: list
-    n_values: np.ndarray
-
-    def pick(self, b: int, instance: ProblemInstance):
-        """(SlrSolution, AmTrace) of run b."""
-        X, Y = self.X[b], self.Y[b]
-        # after an SVD step X is a positive multiple of a truncated SVD, so
-        # the kept singular values give its rank without another SVD
-        sol = SlrSolution(X=X, Y=Y, objective=float(self.f[b]),
-                          rank_of_X=linalg.rank_count(
-                              self.sv[b] if self.iterations[b] else X,
-                              rtol=1e-9),
-                          nnz_of_Y=int(np.count_nonzero(Y)))
-        sol.feasible = sol.rank_of_X <= instance.k0 and \
-            sol.nnz_of_Y <= instance.k1
-        values = [float(f[bisect_left(runs, b)])
-                  for runs, f in self.history[:self.n_values[b]]]
-        trace = AmTrace(values, int(self.iterations[b]),
-                        _REASONS[self.reason[b]])
-        return sol, trace
-
-
 def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
               zero=None, keep=None, svd_mode: str = "exact",
-              seed: int = 0) -> _Runs:
-    """Run AM on D from each start (X[b], Y[b]) of a (B, n, n) stack.
+              seed: int = 0):
+    """Run AM on D from each start (X[b], Y[b]) of a (B, n, n) stack;
+    return the (SlrSolution, AmTrace) of the first least run.
 
     Every run follows alternating_minimization's rules on its own and gets
     the bits it would get alone; a run leaves the stack when it stops, and
@@ -204,6 +185,9 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
     forced cells as _sparse_step takes them: None or (n, n) masks shared
     by every run, or a (B, n, n) keep stack of complete supports, one per
     run, with zero None; only that stack follows the runs still going.
+    Each entry of history is (runs, objectives) after one iteration, the
+    first for the starts; runs lists the runs still going, in order, and
+    run b's trace is its objective in the first n_values[b] entries.
     Randomized mode takes B = 1. X and Y are overwritten.
     """
     stacked = keep is not None and keep.ndim == 3
@@ -213,6 +197,8 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
     B = X.shape[0]
     cap = min(max_iters, math.ceil(iteration_bound(lam, mu, eps)))
     f = objective(instance, X, Y)
+    # per run: the singular values kept by its last accepted SVD step, its
+    # iterations, its trace length and its stop reason, an index of _REASONS
     sv = np.zeros((B, k0))
     iterations = np.zeros(B, dtype=int)
     n_values = np.ones(B, dtype=int)
@@ -286,7 +272,16 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
             X[0], sv[0], f[0] = X_exact, fact.singular_values, f_exact
             history[n_values[0]:] = [(range(1), f[:1].copy())]
             n_values[0] += 1
-    return _Runs(X, Y, f, sv, iterations, reason, history, n_values)
+    b = int(np.argmin(f))
+    # after an SVD step X is a positive multiple of a truncated SVD, so the
+    # singular values it kept give its rank without another SVD
+    rank = linalg.rank_count(sv[b] if iterations[b] else X[b], rtol=1e-9)
+    nnz = int(np.count_nonzero(Y[b]))
+    sol = SlrSolution(X[b], Y[b], float(f[b]), rank, nnz,
+                      rank <= k0 and nnz <= k1)
+    values = [float(f_t[bisect_left(runs, b)])
+              for runs, f_t in history[:n_values[b]]]
+    return sol, AmTrace(values, int(iterations[b]), _REASONS[reason[b]])
 
 
 def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
@@ -312,15 +307,10 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     """
     _check_svd_mode(svd_mode)
     zero, keep = _pattern_masks(pattern, instance.n, instance.k1)
-    if init is None:
-        X = np.zeros((1,) + instance.D.shape)
-        Y = np.zeros_like(X)
-    else:
-        X = np.array([init[0]], dtype=float)
-        Y = np.array([init[1]], dtype=float)
-    runs = _am_stack(instance, X, Y, eps, max_iters, zero, keep, svd_mode,
+    X, Y = (np.zeros((2, 1) + instance.D.shape) if init is None
+            else np.array(init, dtype=float)[:, None])
+    return _am_stack(instance, X, Y, eps, max_iters, zero, keep, svd_mode,
                      seed)
-    return runs.pick(0, instance)
 
 
 def multistart_alternating_minimization(instance: ProblemInstance,
@@ -347,16 +337,14 @@ def _multistart(instance: ProblemInstance, n_starts: int, eps: float,
         raise ValueError(f"n_starts={n_starts} must be at least 1")
     n = instance.n
     rng = np.random.default_rng(seed)
-    starts = np.stack([np.zeros((n, n))] + [rng.standard_normal((n, n))
-                                            for _ in range(n_starts - 1)])
-    X = starts
+    X = np.stack([np.zeros((n, n))] + [rng.standard_normal((n, n))
+                                       for _ in range(n_starts - 1)])
     if keep is not None and keep.ndim == 3:
         # one run per support x start, support-major
-        X = np.tile(starts, (len(keep), 1, 1))
+        X = np.tile(X, (len(keep), 1, 1))
         keep = np.repeat(keep, n_starts, axis=0)
-    runs = _am_stack(instance, X, np.zeros_like(X), eps, max_iters, zero,
+    return _am_stack(instance, X, np.zeros_like(X), eps, max_iters, zero,
                      keep)
-    return runs.pick(int(np.argmin(runs.f)), instance)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ and Y (at most k1 nonzeros) minimizing
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,13 @@ class ProblemInstance:
             raise ValueError("D contains non-finite entries")
         object.__setattr__(self, "D", D)
         n = D.shape[0]
+        for name in ("k0", "k1"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name}={value!r} is not an integer") \
+                    from None
         if not 1 <= self.k0 <= n:
             raise ValueError(f"k0={self.k0} out of range [1, {n}]")
         if not 0 <= self.k1 <= n * n:

@@ -128,7 +128,7 @@ def cross_validate(D, method, grid, folds: int = 30, seed: int = 0):
         raise ValueError("cross-validation needs n >= 4")
     if folds < 1:
         raise ValueError("folds must be at least 1")
-    grid = sorted((float(l), float(m)) for l, m in grid)
+    grid = sorted({(float(l), float(m)) for l, m in grid})
     if not grid:
         raise ValueError("empty hyperparameter grid")
     # holdout size floor(n*(1-sqrt(0.7))), clamped so the validation

@@ -85,62 +85,26 @@ def randomized_svd(A, k: int, seed: int = 0,
                                  W @ Vt[:k].T)
 
 
-def _cell_mask(mask, shape):
-    """mask, None or a boolean (m, n) array of forced cells, for a matrix
-    or stack whose last two axes are shape."""
-    if mask is None:
-        return None
-    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
-        raise ValueError("forced cells must be a boolean mask")
-    if mask.shape != shape:
-        raise ValueError(f"a forced-cell mask of shape {mask.shape} "
-                         f"does not fit shape {shape}")
-    return mask
-
-
-def top_k_abs_select(M, k: int, forced_zero=None,
-                     forced_keep=None) -> np.ndarray:
-    """Binary matrix marking the k largest-|entry| positions of M.
-
-    forced_keep positions are always selected and forced_zero never are;
-    remaining slots go to the largest |M_ij| among free positions, ties
+def top_k_abs_select(M, k: int) -> np.ndarray:
+    """Binary matrix marking the k largest-|entry| positions of M, ties
     broken in row-major order. M may be a stack (..., m, n) of matrices,
-    each selected on its own. Forced cells are None or boolean (m, n)
-    masks, one pair shared by every matrix of a stack.
-    """
+    each selected on its own."""
     M = _as_matrix(M, stack=True)
     size = M.shape[-2] * M.shape[-1]
     if not 0 <= k <= size:
         raise ValueError(f"k={k} out of range for shape {M.shape}")
-    zero = _cell_mask(forced_zero, M.shape[-2:])
-    keep = _cell_mask(forced_keep, M.shape[-2:])
-    if zero is not None and keep is not None and (zero & keep).any():
-        raise ValueError("forced_zero and forced_keep overlap")
-    # the slots left after the forced keeps
-    budget = k - (0 if keep is None else int(np.count_nonzero(keep)))
-    if budget < 0:
-        raise ValueError(f"{k - budget} forced-keep entries exceed k={k}")
-    if zero is not None and k > size - np.count_nonzero(zero):
-        raise ValueError("k exceeds the number of admissible entries")
     flat = np.abs(M).reshape(-1, size)
-    for mask in (zero, keep):
-        if mask is not None:
-            flat[:, mask.ravel()] = -1.0
     picked = np.zeros(flat.shape, dtype=bool)
-    if budget > 0:
-        # threshold at the budget-th largest free magnitude; more picks
-        # than budget means ties there, and the first ones in row-major
-        # order stay
-        th = np.partition(flat, size - budget, axis=-1)[:, size - budget, None]
+    if k > 0:
+        # threshold at the k-th largest magnitude; more picks than k means
+        # ties there, and the first ones in row-major order stay
+        th = np.partition(flat, size - k, axis=-1)[:, size - k, None]
         picked = flat >= th
-        if np.count_nonzero(picked) > budget * flat.shape[0]:
+        if np.count_nonzero(picked) > k * flat.shape[0]:
             tied = flat == th
-            n_tied = tied.sum(axis=-1) - picked.sum(axis=-1) + budget
+            n_tied = tied.sum(axis=-1) - picked.sum(axis=-1) + k
             picked &= ~tied | (np.cumsum(tied, axis=-1) <= n_tied[:, None])
-    picked = picked.reshape(M.shape)
-    if keep is not None:
-        picked |= keep
-    return picked.astype(float)
+    return picked.reshape(M.shape).astype(float)
 
 
 def pseudoinverse(A, tol: float = 1e-12) -> np.ndarray:

@@ -33,6 +33,18 @@ class TestSparsityPattern:
         with pytest.raises(ValueError):
             SparsityPattern(2, {(2, 0)}, set())
 
+    def test_non_integer_cell_rejected(self):
+        for cell in ((0, 1.5), (1.0, 0), (0, 1, 2), (1,), "ab", 3):
+            with pytest.raises(ValueError, match="pair of integers"):
+                SparsityPattern(3, I0={cell})
+            with pytest.raises(ValueError, match="pair of integers"):
+                SparsityPattern(3, I1=[cell])
+        # numpy integers pass as the ints they hold
+        pattern = SparsityPattern(3, I0=[(np.int64(0), np.int32(2))],
+                                  I1=np.array([[1, 1]]))
+        assert pattern.I0 == {(0, 2)} and pattern.I1 == {(1, 1)}
+        assert all(type(i) is int for cell in pattern.I1 for i in cell)
+
     def test_is_complete(self):
         full = _full_pattern(2, [(0, 1)])
         assert full.is_complete(1)
@@ -183,6 +195,104 @@ class TestSparseSubproblem:
             solve_sparse_subproblem(np.eye(4), 2, 1.0,
                                     SparsityPattern(3, I0={(0, 0)},
                                                     I1={(1, 1)}))
+
+    def test_forcing(self):
+        # (1, 1) is kept and (0, 0) never picked; the one slot left goes
+        # to the largest free cell
+        M = np.array([[5.0, 4.0], [3.0, 2.0]])
+        pattern = SparsityPattern(2, I0={(0, 0)}, I1={(1, 1)})
+        Y = solve_sparse_subproblem(M, 2, 1.0, pattern)
+        np.testing.assert_array_equal(Y, [[0.0, 2.0], [0.0, 1.0]])
+
+    def test_forced_cell_errors(self):
+        # the pattern's checks are the only ones left on forced cells:
+        # overlap, |I1| > k1 and a size mismatch have their own tests here;
+        # fewer admissible cells than k1 is rejected, and a kept cell is
+        # checked for finiteness even when no free slot is left
+        with pytest.raises(ValueError, match="exceeds n"):
+            solve_sparse_subproblem(np.ones((2, 2)), 4, 1.0,
+                                    SparsityPattern(2, {(0, 0)}))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_sparse_subproblem(np.array([[np.nan, 1.0], [1.0, 1.0]]),
+                                    1, 1.0, SparsityPattern(2, I1={(0, 0)}))
+
+    def test_matches_bruteforce_with_forcing(self):
+        # the reference support is I1 plus the first max-|D| pick of free
+        # cells in lexicographic order, which is the row-major tie rule;
+        # integer entries make the sums exact, so ties are real, and some
+        # patterns leave no free cell
+        rng = _rng(9)
+        mu = 1.0
+        for trial in range(60):
+            n = int(rng.integers(2, 5))
+            D = rng.integers(-3, 4, size=(n, n)).astype(float)
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            order = rng.permutation(n * n)
+            n1 = int(rng.integers(0, 3))
+            n0 = int(rng.integers(0, n * n - n1 + 1))
+            keep = [cells[c] for c in order[:n1]]
+            zero = [cells[c] for c in order[n1:n1 + n0]]
+            free = [c for c in cells if c not in keep and c not in zero]
+            budget = int(rng.integers(0, min(len(free), 4) + 1))
+            best, ref = -1.0, None
+            for pick in itertools.combinations(free, budget):
+                val = sum(abs(D[ij]) for ij in pick)
+                if val > best:
+                    best, ref = val, pick
+            want = np.zeros((n, n), dtype=bool)
+            for ij in keep + list(ref):
+                want[ij] = True
+            Y = solve_sparse_subproblem(D, n1 + budget, mu,
+                                        SparsityPattern(n, zero, keep))
+            assert Y.tobytes() == \
+                np.where(want, D / (1.0 + mu), 0.0).tobytes()
+
+    def test_repeated_forced_cells_count_once(self):
+        # a pattern keeps each cell once, so its check and the budget left
+        # for free cells count a repeated cell once
+        M = np.array([[5.0, 4.0], [3.0, 2.0]])
+        pattern = SparsityPattern(2, [(0, 0), (0, 0)], [(1, 1), (1, 1)])
+        np.testing.assert_array_equal(
+            solve_sparse_subproblem(M, 1, 1.0, pattern), [[0, 0], [0, 1]])
+        np.testing.assert_array_equal(
+            solve_sparse_subproblem(M, 2, 1.0, pattern), [[0, 2], [0, 1]])
+
+    @pytest.mark.parametrize("n0, n1", [(0, 0), (1, 1), (3, 2), (5, 4),
+                                        (9, 0), (0, 4)])
+    def test_shared_pattern_on_stack(self, n0, n1):
+        # one pattern's masks shared by a (B, n, n) stack give each matrix
+        # the bits it gets alone; integer entries make ties real, and
+        # n0 + n1 = n^2 leaves no free cell
+        rng = _rng(21 + n0)
+        n, B, mu = 3, 40, 0.7
+        k1 = min(4, n * n - n0)
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        order = rng.permutation(n * n)
+        pattern = SparsityPattern(n, [cells[c] for c in order[n1:n1 + n0]],
+                                  [cells[c] for c in order[:n1]])
+        Dtilde = rng.integers(-2, 3, size=(B, n, n)).astype(float)
+        Y = altmin._sparse_step(Dtilde, k1, mu, pattern.zero, pattern.keep)
+        for b in range(B):
+            ref = solve_sparse_subproblem(Dtilde[b], k1, mu, pattern)
+            assert Y[b].tobytes() == ref.tobytes()
+        assert not np.signbit(Y[Y == 0]).any()
+
+    def test_no_free_cell(self):
+        # every cell forced: the support is I1, and AM runs on it
+        n, k1 = 3, 2
+        D = _rng(12).standard_normal((n, n))
+        kept = [(0, 1), (2, 2)]
+        pattern = SparsityPattern(
+            n, [(i, j) for i in range(n) for j in range(n)
+                if (i, j) not in kept], kept)
+        keep = np.zeros((n, n), dtype=bool)
+        keep[tuple(zip(*kept))] = True
+        Y = solve_sparse_subproblem(D, k1, 0.5, pattern)
+        assert Y.tobytes() == np.where(keep, D / 1.5, 0.0).tobytes()
+        sol, _ = alternating_minimization(
+            ProblemInstance(D, 1, k1, 1.0, 0.5), pattern=pattern)
+        assert sol.feasible
+        assert np.array_equal(sol.Y != 0, keep)
 
     @pytest.mark.parametrize("k1", [0, 1, 4])
     def test_support_stack_matches_complete_patterns(self, k1):

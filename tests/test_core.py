@@ -32,6 +32,15 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(np.eye(2), 1, 5, 1.0, 1.0)
 
+    def test_budgets_must_be_integers(self):
+        # numpy integers pass as the ints they hold
+        inst = ProblemInstance(np.eye(3), np.int64(2), np.int32(4), 1.0, 1.0)
+        assert (inst.k0, inst.k1) == (2, 4)
+        assert type(inst.k0) is int and type(inst.k1) is int
+        for k0, k1 in ((1.5, 2), (1, 2.0), (2.0, 2), ("1", 2), (1, None)):
+            with pytest.raises(ValueError, match="not an integer"):
+                ProblemInstance(np.eye(3), k0, k1, 1.0, 1.0)
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             ProblemInstance(np.eye(2), 1, 0, 0.0, 1.0)

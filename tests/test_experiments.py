@@ -96,6 +96,24 @@ class TestCrossValidate:
                                     folds=3)
         assert (lam, mu) == (1.0, 2.0)
 
+    def test_repeated_point_scored_once(self):
+        # a repeated grid point is one candidate: its score is not summed
+        # once per repeat, and it is fitted once per fold
+        D = np.random.default_rng(4).standard_normal((8, 8))
+        calls = []
+
+        def fit(Dt, lam, mu):
+            calls.append((lam, mu))
+            return Dt / (1.0 + lam + mu)
+
+        grid = [(0.1, 0.1), (1.0, 1.0)]
+        once = cross_validate(D, fit, grid, folds=3)
+        n_calls = len(calls)
+        twice = cross_validate(D, fit, [(0.1, 0.1)] + grid + [(1, 1)],
+                               folds=3)
+        assert twice == once
+        assert len(calls) == 2 * n_calls
+
     def test_rejects_small_n_and_empty_grid(self):
         with pytest.raises(ValueError):
             cross_validate(np.eye(3), lambda *a: None, [(1.0, 1.0)])

@@ -14,14 +14,6 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _mask(n, cells):
-    """Boolean n x n mask of the given (i, j) cells."""
-    mask = np.zeros((n, n), dtype=bool)
-    for ij in cells:
-        mask[ij] = True
-    return mask
-
-
 class TestTruncatedSvd:
     def test_diagonal(self):
         f = linalg.truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
@@ -124,12 +116,6 @@ class TestTopKAbsSelect:
         assert S.sum() == 4
         np.testing.assert_allclose(np.sum(np.abs(M)[S == 1]), best, atol=1e-12)
 
-    def test_forcing(self):
-        M = np.array([[5.0, 4.0], [3.0, 2.0]])
-        S = linalg.top_k_abs_select(M, 2, forced_zero=_mask(2, [(0, 0)]),
-                                    forced_keep=_mask(2, [(1, 1)]))
-        np.testing.assert_array_equal(S, [[0, 1], [0, 1]])
-
     def test_row_major_ties(self):
         M = np.array([[1.0, 1.0], [1.0, 1.0]])
         S = linalg.top_k_abs_select(M, 3)
@@ -151,77 +137,25 @@ class TestTopKAbsSelect:
             np.testing.assert_array_equal(S.ravel(), ref)
 
     def test_errors(self):
-        M = np.ones((2, 2))
-        with pytest.raises(ValueError, match="overlap"):
-            linalg.top_k_abs_select(M, 1, forced_zero=_mask(2, [(0, 0)]),
-                                    forced_keep=_mask(2, [(0, 0)]))
-        with pytest.raises(ValueError, match="exceed"):
-            linalg.top_k_abs_select(M, 1,
-                                    forced_keep=_mask(2, [(0, 0), (1, 1)]))
-        with pytest.raises(ValueError, match="admissible"):
-            linalg.top_k_abs_select(M, 4, forced_zero=_mask(2, [(0, 0)]))
-        # forced cells come as boolean masks only
-        with pytest.raises(ValueError, match="boolean mask"):
-            linalg.top_k_abs_select(M, 1, forced_zero={(0, 0)})
-        with pytest.raises(ValueError, match="boolean mask"):
-            linalg.top_k_abs_select(M, 1, forced_keep=np.eye(2))
         # np.partition would take a k outside [0, m*n] from the other end
         for k in (5, 6, -1):
             with pytest.raises(ValueError, match="out of range"):
                 linalg.top_k_abs_select(np.array([[1.0, 2.0], [3.0, 4.0]]),
                                         k)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.top_k_abs_select(np.array([[1.0, np.nan]]), 1)
 
     @pytest.mark.parametrize("cells", [[(0, 15)], [(4, 0)], [(0, -1)],
                                        [(-1, 2)], [(1, 1), (3, 4)]])
     def test_forced_cell_outside_rejected(self, cells):
-        # forced cells reach the selection as a pattern's masks, so the
-        # pattern's range check is the one that rejects a cell outside the
-        # matrix; flat index 15 is cell (3, 3) of a 4 x 4 matrix, so
-        # (0, 15) must not stand for it
+        # the selection takes no forced cells: they come only from a
+        # pattern, so the pattern's range check is the one that rejects a
+        # cell outside the matrix; flat index 15 is cell (3, 3) of a 4 x 4
+        # matrix, so (0, 15) must not stand for it
         with pytest.raises(ValueError, match="out of range"):
             SparsityPattern(4, I0=cells)
         with pytest.raises(ValueError, match="out of range"):
             SparsityPattern(4, I1=cells)
-
-    def test_matches_bruteforce_with_forcing(self):
-        # the reference is the first max-|M| support among the admissible
-        # ones in lexicographic order, which is the row-major tie rule;
-        # integer entries make the sums exact, so ties are real
-        rng = _rng(9)
-        for trial in range(60):
-            n = int(rng.integers(2, 5))
-            M = rng.integers(-3, 4, size=(n, n)).astype(float)
-            cells = [(i, j) for i in range(n) for j in range(n)]
-            order = rng.permutation(n * n)
-            n1 = int(rng.integers(0, 3))
-            n0 = int(rng.integers(0, n * n - n1 + 1))
-            keep = [cells[c] for c in order[:n1]]
-            zero = [cells[c] for c in order[n1:n1 + n0]]
-            free = [c for c in cells if c not in keep and c not in zero]
-            budget = int(rng.integers(0, min(len(free), 4) + 1))
-            best, ref = -1.0, None
-            for pick in itertools.combinations(free, budget):
-                val = sum(abs(M[ij]) for ij in pick)
-                if val > best:
-                    best, ref = val, pick
-            want = np.zeros((n, n))
-            for ij in keep + list(ref):
-                want[ij] = 1.0
-            pattern = SparsityPattern(n, zero, keep)
-            S = linalg.top_k_abs_select(M, n1 + budget,
-                                        forced_zero=pattern.zero,
-                                        forced_keep=pattern.keep)
-            np.testing.assert_array_equal(S, want)
-
-    def test_repeated_forced_cells_count_once(self):
-        # a pattern keeps each cell once, so its masks and its budget
-        # check count a repeated cell once
-        M = np.array([[5.0, 4.0], [3.0, 2.0]])
-        pattern = SparsityPattern(2, [(0, 0), (0, 0)], [(1, 1), (1, 1)])
-        pattern.check(2, 1)
-        S = linalg.top_k_abs_select(M, 2, forced_zero=pattern.zero,
-                                    forced_keep=pattern.keep)
-        np.testing.assert_array_equal(S, [[0, 1], [0, 1]])
 
 
 class TestPseudoinverse:
@@ -301,33 +235,17 @@ class TestStacks:
         with pytest.raises(ValueError):
             linalg.truncated_svd(A, 5)
 
-    def test_top_k_shared_masks(self):
-        # one (n, n) mask pair shared by the whole stack; integer entries
-        # make ties real
-        rng = _rng(21)
-        n, B, k = 3, 40, 4
-        M = rng.integers(-2, 3, size=(B, n, n)).astype(float)
-        fz, fk = _mask(n, [(0, 0)]), _mask(n, [(1, 1)])
-        S = linalg.top_k_abs_select(M, k, forced_zero=fz, forced_keep=fk)
-        for b in range(B):
-            np.testing.assert_array_equal(S[b], linalg.top_k_abs_select(
-                M[b], k, forced_zero=fz, forced_keep=fk))
-
-    def test_top_k_mask_errors(self):
-        M = np.ones((2, 2, 2))
-        keep = _mask(2, [(0, 0), (1, 1)])
-        with pytest.raises(ValueError, match="exceed"):
-            linalg.top_k_abs_select(M, 1, forced_keep=keep)
-        with pytest.raises(ValueError, match="overlap"):
-            linalg.top_k_abs_select(M, 4, forced_zero=keep,
-                                    forced_keep=keep)
-        with pytest.raises(ValueError, match="admissible"):
-            linalg.top_k_abs_select(M, 3, forced_zero=keep)
-        # a mask per matrix of the stack is not taken
-        with pytest.raises(ValueError, match="does not fit"):
-            linalg.top_k_abs_select(M, 1, forced_zero=np.stack([keep, keep]))
-        with pytest.raises(ValueError, match="does not fit"):
-            linalg.top_k_abs_select(np.ones((3, 3)), 1, forced_zero=keep)
+    def test_top_k(self):
+        # integer entries make ties real; a (B, 1, m) stack of rows is how
+        # the sparse step passes a pattern's free cells
+        M = _rng(21).integers(-2, 3, size=(40, 3, 3)).astype(float)
+        for k in (0, 4, 9):
+            S = linalg.top_k_abs_select(M, k)
+            rows = linalg.top_k_abs_select(M.reshape(40, 1, 9), k)
+            for b in range(40):
+                single = linalg.top_k_abs_select(M[b], k)
+                assert S[b].tobytes() == single.tobytes()
+                assert rows[b].tobytes() == single.reshape(1, 9).tobytes()
 
 
 class TestMatrixCsv:
