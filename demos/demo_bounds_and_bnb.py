@@ -22,12 +22,10 @@ inst = ProblemInstance(D, k0, k1, lam=1.0, mu=1.0)
 sol, _ = alternating_minimization(inst, eps=1e-8)
 print(f"heuristic upper bound: {sol.objective:.6f}")
 
-beta = float(np.linalg.norm(D, 2))
-gamma = float(np.abs(D).max())
 bounds = {
     "perspective": build_perspective_relaxation(inst).solve(),
     "strengthened": build_strengthened_relaxation(inst).solve(),
-    "nuclear/l1": build_lee_zou_relaxation(inst, beta, gamma).solve(),
+    "nuclear/l1": build_lee_zou_relaxation(inst).solve(),
 }
 for name, res in bounds.items():
     gap = bound_gap(sol.objective, res.lower_bound)

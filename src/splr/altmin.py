@@ -33,6 +33,12 @@ class SparsityPattern:
     I1: frozenset = frozenset()
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n={self.n!r} is not an integer") from None
+        if self.n < 1:
+            raise ValueError(f"n={self.n} must be positive")
         for name in ("I0", "I1"):
             cells = frozenset(map(self._cell, getattr(self, name)))
             object.__setattr__(self, name, cells)

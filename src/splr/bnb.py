@@ -16,12 +16,13 @@ the search deterministic. A queued node whose inherited bound is no longer
 below the incumbent value is stale and is dropped when popped, so an
 improved incumbent never filters the queue.
 
-A child's program is its parent's plus one zero-cone row pinning the
-branched Z entry, so each child's ADMM solve starts from its parent's
-final iterate, lifted onto the child's rows (RelaxationModel.lift); the
-root starts cold, and so does a child whose parent ended with non-finite
-iterates. The certificate holds at any iterate, so the start changes how
-soon a node's bound is reached, never whether it is valid.
+Every node's program has the same rows: one zero-cone row per entry of
+Z, empty unless the pattern pins that entry. A child's program is its
+parent's with the branched entry's row filled in, so each child's ADMM
+solve starts from its parent's final iterate as it is; the root starts
+cold, and so does a child whose parent ended with non-finite iterates.
+The certificate holds at any iterate, so the start changes how soon a
+node's bound is reached, never whether it is valid.
 """
 
 from __future__ import annotations

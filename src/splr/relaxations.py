@@ -111,10 +111,8 @@ class RelaxationResult:
     # certified_bound) bounds the relaxation at any iterate; -inf when
     # there was no upper bound or the model has no box
     certified_bound: float
-    # the solver's final (x, s, y, rho) in the program's units and row
-    # order, and the model's pin cells: a start for a child's solve
+    # the final (x, s, y, rho) in model units: starts another pattern's solve
     iterate: tuple
-    pins: tuple
 
 
 @dataclass
@@ -129,9 +127,9 @@ class RelaxationModel:
     c'x to bounds (lo, hi) on every variable of a feasible point with
     c'x <= cap.
 
-    pins lists the cells whose Z entry the program pins, in the order of
-    their zero-cone rows, which start at row pin_row; a model without
-    pins still records where that block would start.
+    A model built with a pattern has one zero-cone row per cell of Z,
+    pinned or free, so every pattern's program over one instance has the
+    same variables and rows, and one's final iterate can start another's.
     """
 
     problem: ConicProblem
@@ -141,22 +139,6 @@ class RelaxationModel:
     Z: np.ndarray = None
     scale: float = 1.0
     box: Callable[[float], tuple] | None = None
-    pins: tuple = ()
-    pin_row: int = 0
-
-    def lift(self, parent: RelaxationResult) -> tuple:
-        """The parent's final (x, s, y, rho) on this program's rows. The
-        parent is a model over the same variables and rows whose pins are
-        a subset of these: its rows keep their s and y, and a pin row it
-        lacks gets s = y = 0."""
-        x, s, y, rho = parent.iterate
-        head = self.pin_row
-        at = {cell: head + k for k, cell in enumerate(parent.pins)}
-        # a new pin reads index -1, the zero appended below
-        pins = np.array([at.get(cell, -1) for cell in self.pins], dtype=int)
-        rows = np.r_[np.arange(head), pins,
-                     np.arange(head + len(parent.pins), s.size)]
-        return x, np.r_[s, 0.0][rows], np.r_[y, 0.0][rows], rho
 
     def solve(self, tol: float = 1e-5, max_iters: int = 50000,
               upper_bound: float | None = None,
@@ -166,9 +148,8 @@ class RelaxationModel:
         the points of interest (an incumbent's value), certify a lower
         bound over the relaxed points with objective <= U; given stop_at
         as well, stop once that bound reaches stop_at (status
-        'bound-reached'). Both are in the caller's units. start, the
-        result of a parent model (see lift), starts the solver from its
-        final iterate."""
+        'bound-reached'). Both are in the caller's units. start, another
+        pattern's result, starts the solver from its final iterate."""
         tau2 = self.scale * self.scale
 
         def model_units(value):
@@ -179,7 +160,7 @@ class RelaxationModel:
             box = self.box(model_units(upper_bound))
         sol = solve_conic(self.problem, tol=tol, max_iters=max_iters,
                           box=box, stop_at=model_units(stop_at),
-                          start=None if start is None else self.lift(start))
+                          start=None if start is None else start.iterate)
         x, tau = sol.x, self.scale
 
         def read(ids):
@@ -193,8 +174,7 @@ class RelaxationModel:
             Z_fractional=np.clip(read(self.Z), 0.0, 1.0),
             P_fractional=read(self.P), X_relax=tau * read(self.X),
             solver_status=sol.status,
-            certified_bound=cert, iterate=(sol.x, sol.s, sol.y, sol.rho),
-            pins=self.pins)
+            certified_bound=cert, iterate=(sol.x, sol.s, sol.y, sol.rho))
 
 
 def _add_trace_budget(bld, P, k0):
@@ -248,13 +228,16 @@ def _is_symmetric(D):
     return np.abs(D - D.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(D).max(initial=0.0))
 
 
-def _bounds(D, beta, gamma):
-    """beta and gamma, defaulting to ||D||_2 and max |D_ij| (any valid
-    upper bounds on the optimal X and Y preserve correctness)."""
+def _bounds(instance, beta, gamma):
+    """beta and gamma, by default bounds on ||X||_2 and max |Y_ij| at any
+    optimum: it costs at most U = ||D||^2 (X = Y = 0), X is a truncated SVD
+    of (D - Y)/(1+lam), and Y = (D - X)/(1+mu) on its support."""
+    D, lam, mu = instance.D, instance.lam, instance.mu
+    x_cap, y_cap = (math.sqrt(np.sum(D * D) / w) for w in (lam, mu))
     if beta is None:
-        beta = float(np.linalg.norm(D, 2))
+        beta = min((float(np.linalg.norm(D, 2)) + y_cap) / (1 + lam), x_cap)
     if gamma is None:
-        gamma = float(np.abs(D).max())
+        gamma = min((float(np.abs(D).max()) + beta) / (1 + mu), y_cap)
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta and gamma must be positive")
     return beta, gamma
@@ -327,14 +310,10 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         _add_trace_budget(bld, P, k0)
     else:
         bld.add_objective(np.diag(P), rho1)
-    pin_row, pins = bld.rows, ()
     if pattern is not None and not lowrank:
-        pins = tuple(sorted(pattern.I0) + sorted(pattern.I1))
-        if pins:
-            i, j = np.array(pins).T
-            bld.add_cone("zero", np.repeat([0.0, -1.0], [len(pattern.I0),
-                                                         len(pattern.I1)]),
-                         (None, Z[i, j], 1.0))
+        # Z_ij = 0 on I0 and 1 on I1; a free cell's row is empty (0 = 0)
+        bld.add_cone("zero", np.where(pattern.keep, -1.0, 0.0).ravel(),
+                     (None, Z, 1.0 * (pattern.zero | pattern.keep).ravel()))
     _add_unit_box(bld, P)
     _add_psd_block(bld, Th, X, P)
 
@@ -365,8 +344,7 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         return lo, hi
 
     return RelaxationModel(problem=bld.build(), constant=bld.constant, X=X,
-                           P=P, Z=Z, scale=tau, box=box, pins=pins,
-                           pin_row=pin_row)
+                           P=P, Z=Z, scale=tau, box=box)
 
 
 def build_perspective_relaxation(instance: ProblemInstance,
@@ -395,10 +373,12 @@ def build_strengthened_relaxation(instance: ProblemInstance,
     """Perspective relaxation plus coupling boxes -gamma*Z <= Y <= gamma*Z
     and the scaled projection block [[beta*Pr, X], [X', beta*Pc]] >= 0.
 
-    Defaults: beta = spectral norm of D, gamma = max |D_ij| (any valid
-    upper bounds on the optimal X and Y preserve correctness).
+    beta and gamma must bound ||X||_2 and max |Y_ij| at every optimum;
+    the defaults do, from U = ||D||^2, the objective at X = Y = 0:
+    beta = min((||D||_2 + sqrt(U/mu))/(1+lam), sqrt(U/lam)) and
+    gamma = min((max |D_ij| + beta)/(1+mu), sqrt(U/mu)).
     """
-    beta, gamma = _bounds(instance.D, beta, gamma)
+    beta, gamma = _bounds(instance, beta, gamma)
     D, tau = _normalized(instance.D)
     return _build_perspective(D, tau, instance.k0, instance.k1, instance.lam,
                               instance.mu, pattern,
@@ -412,9 +392,9 @@ def build_lee_zou_relaxation(instance: ProblemInstance,
     <E, V>/gamma <= k1, and (tr W1 + tr W2)/(2*beta) <= k0 with the block
     [[W1, X], [X', W2]] >= 0 bounding the nuclear norm of X.
 
-    Defaults as for build_strengthened_relaxation.
+    beta and gamma as for build_strengthened_relaxation.
     """
-    beta, gamma = _bounds(instance.D, beta, gamma)
+    beta, gamma = _bounds(instance, beta, gamma)
     D, tau = _normalized(instance.D)
     beta, gamma = beta / tau, gamma / tau
     n, n2 = instance.n, instance.n ** 2

@@ -45,6 +45,16 @@ class TestSparsityPattern:
         assert pattern.I0 == {(0, 2)} and pattern.I1 == {(1, 1)}
         assert all(type(i) is int for cell in pattern.I1 for i in cell)
 
+    def test_size_must_be_a_positive_integer(self):
+        for n in (2.5, "3", None):
+            with pytest.raises(ValueError, match="not an integer"):
+                SparsityPattern(n, I0={(0, 0)})
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="must be positive"):
+                SparsityPattern(n)
+        pattern = SparsityPattern(np.int64(2), I1={(1, 1)})
+        assert type(pattern.n) is int and pattern.keep.shape == (2, 2)
+
     def test_is_complete(self):
         full = _full_pattern(2, [(0, 1)])
         assert full.is_complete(1)

@@ -115,6 +115,19 @@ class TestBound:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "solver status optimal, bound not certified"
 
+    @pytest.mark.parametrize("variant", ["strengthened", "leezou"])
+    def test_default_bounds_stay_below_the_upper_bound(self, tmp_path,
+                                                       capsys, variant):
+        # AM finds the optimum 0.0764 here; ||D||_2 and max |D_ij| as beta
+        # and gamma gave lower bounds 0.2800 and 0.2625
+        mat = _write_matrix(tmp_path / "d.csv", [[1.0, 1.0], [1.0, -1.0]])
+        assert main(["bound", mat, "--k0", "1", "--k1", "1", "--lam", "0.01",
+                     "--mu", "0.01", "--variant", variant]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        lb, ub = (float(line.split()[2]) for line in lines[:2])
+        assert ub == pytest.approx(0.076418, rel=1e-4)
+        assert lb < ub
+
     def test_unknown_variant_usage_error(self, tmp_path):
         mat = _witness_file(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from splr.altmin import SparsityPattern, alternating_minimization, \
     multistart_alternating_minimization
 from splr.core import ProblemInstance, reverse_huber_penalty, \
     unconstrained_min_value
+from splr.bnb import exhaustive_oracle
 from splr.conic import solve_conic
 from splr.experiments import generate_instance
 from splr.relaxations import (bound_gap, build_lee_zou_relaxation,
@@ -173,11 +174,33 @@ class TestLeeZou:
 
     def test_default_bounds_build_the_explicit_program(self):
         D = np.random.default_rng(11).standard_normal((3, 3))
-        inst = ProblemInstance(D, 1, 2, 1.0, 1.0)
-        explicit = build_lee_zou_relaxation(
-            inst, float(np.linalg.norm(D, 2)), float(np.abs(D).max()))
+        inst = ProblemInstance(D, 1, 2, 0.5, 0.25)
+        U = float(np.sum(D * D))
+        beta = min((float(np.linalg.norm(D, 2)) + np.sqrt(U / 0.25)) / 1.5,
+                   np.sqrt(U / 0.5))
+        gamma = min((float(np.abs(D).max()) + beta) / 1.25, np.sqrt(U / 0.25))
+        explicit = build_lee_zou_relaxation(inst, beta, gamma)
         assert _program_digest(build_lee_zou_relaxation(inst)) == \
             _program_digest(explicit)
+
+
+class TestDefaultBounds:
+    """With beta and gamma not given, the strengthened and Lee-Zou bounds
+    stay below a feasible value. Here the optimum has ||X||_2 = 1.93 >
+    ||D||_2 and |Y_22| = 1.90 > max |D_ij|, so those two as beta and gamma
+    gave 0.2800 and 0.2625."""
+
+    _INST = ProblemInstance(np.array([[1.0, 1.0], [1.0, -1.0]]), 1, 1,
+                            0.01, 0.01)
+
+    @pytest.mark.parametrize("build", [build_strengthened_relaxation,
+                                       build_lee_zou_relaxation])
+    def test_below_the_optimum(self, build):
+        _, opt = exhaustive_oracle(self._INST, n_starts=2)
+        assert opt == pytest.approx(0.076418, rel=1e-4)
+        res = build(self._INST).solve()
+        assert res.solver_status == "optimal"
+        assert res.lower_bound <= opt + TOL * (1 + opt)
 
 
 class TestLowrankSdp:
@@ -412,11 +435,11 @@ _GOLDEN_DIGESTS = {
     "perspective_k1_zero":
         "5c7b918564d0a3c3749bb8b7f852e1bfb5667ce2739674a19ed7d06edc5acc70",
     "perspective_pins":
-        "2ef048c649cc45fceaebb8d2b6ecd4b3c8f8ea58226fb1d2f18aba9bb1a396f4",
+        "8af465e083971d1f6c303cf7e3ac2f7e59d6cf35af84ae1d4c7cd101c764c884",
     "perspective_rho":
         "bdee5715c0f878d33fa81ce8c336f49f57a768e20853c7d5f3548a96c9a11951",
     "strengthened_asym":
-        "4ad57c110b8f0ba25b9cfa63463457bb410306a3ff2b5b9f999bbfc30c518f86",
+        "7c9a4f87288e80cd8f444390dc62a07a72b687dadf1c6d5bad89f557669a5012",
     "strengthened_asym_lowrank":
         "d81f4922ae6babf4ad522d098651e47244449f182e9a862446a885c844f65db2",
     "strengthened_sym":
@@ -426,34 +449,71 @@ _GOLDEN_DIGESTS = {
 }
 
 
-class TestLift:
-    """A child pattern adds one pin to its parent's: the lift keeps every
-    row of the parent's iterate and puts zeros at the new pin's row."""
+def _pin_row(model, cell):
+    """The zero-cone row of a pattern's perspective program for Z at cell:
+    one row per cell of Z, row-major, in the program's only zero cone."""
+    cones = model.problem.cones
+    k = [cone.kind for cone in cones].index("zero")
+    return sum(cone.dim for cone in cones[:k]) + np.ravel_multi_index(
+        cell, model.Z.shape)
 
-    _P = SparsityPattern(3, I0={(0, 1)}, I1={(2, 2)})
 
-    @pytest.mark.parametrize("parent, child, cell", [
-        (SparsityPattern(3), SparsityPattern(3, I0={(1, 0)}), (1, 0)),
-        (_P, SparsityPattern(3, I0={(0, 1), (1, 0)}, I1={(2, 2)}), (1, 0)),
-        (_P, SparsityPattern(3, I0={(0, 1)}, I1={(0, 0), (2, 2)}), (0, 0)),
-    ])
-    def test_new_pin_row_starts_at_zero(self, parent, child, cell):
-        inst = ProblemInstance(generate_instance(3, 1, 2, 1.0, 0).D,
+_P = SparsityPattern(3, I0={(0, 1)}, I1={(2, 2)})
+_CHILDREN = [
+    (SparsityPattern(3), SparsityPattern(3, I0={(1, 0)}), (1, 0)),
+    (_P, SparsityPattern(3, I0={(0, 1), (1, 0)}, I1={(2, 2)}), (1, 0)),
+    (_P, SparsityPattern(3, I0={(0, 1)}, I1={(0, 0), (2, 2)}), (0, 0)),
+]
+
+
+class TestPatternRows:
+    """Every pattern's perspective program has the same rows: a child
+    pattern with one more pinned cell fills in that cell's row, which is
+    empty in its parent's program, so a child's solve starts from its
+    parent's final iterate as it is."""
+
+    @staticmethod
+    def _instance():
+        return ProblemInstance(generate_instance(3, 1, 2, 1.0, 0).D,
                                1, 2, 1.0, 1.0)
+
+    @pytest.mark.parametrize("parent, child, cell", _CHILDREN)
+    def test_child_fills_in_the_free_cell_row(self, parent, child, cell):
+        inst = self._instance()
+        old = build_perspective_relaxation(inst, parent)
+        new = build_perspective_relaxation(inst, child)
+        assert new.problem.A.shape == old.problem.A.shape
+        assert new.problem.cones == old.problem.cones
+        row = _pin_row(new, cell)
+        # free in the parent: an empty row reading 0 = 0
+        assert old.problem.A[row].nnz == 0 and old.problem.b[row] == 0.0
+        # pinned in the child: Z at cell is 0 on I0, 1 on I1
+        assert new.problem.A[row].indices.tolist() == [new.Z[cell]]
+        assert new.problem.A[row].data.tolist() == [-1.0]
+        assert new.problem.b[row] == (-1.0 if cell in child.I1 else 0.0)
+        # nothing else differs
+        diff = (new.problem.A - old.problem.A).tocoo()
+        assert set(diff.row[diff.data != 0].tolist()) == {row}
+        np.testing.assert_array_equal(np.delete(new.problem.b, row),
+                                      np.delete(old.problem.b, row))
+        np.testing.assert_array_equal(new.problem.c, old.problem.c)
+
+    @pytest.mark.parametrize("parent, child, cell", _CHILDREN)
+    def test_child_starts_from_the_parent_iterate(self, parent, child, cell):
+        inst = self._instance()
         res = build_perspective_relaxation(inst, parent).solve(max_iters=50)
         model = build_perspective_relaxation(inst, child)
-        x, s, y, rho = model.lift(res)
-        m = model.problem.A.shape[0]
-        assert s.size == y.size == m == res.iterate[1].size + 1
-        row = model.pin_row + model.pins.index(cell)
-        # the row is the zero-cone row that pins Z at the new cell
-        assert model.problem.A[row].indices.tolist() == [model.Z[cell]]
-        assert s[row] == y[row] == 0.0
-        np.testing.assert_array_equal(np.delete(s, row), res.iterate[1])
-        np.testing.assert_array_equal(np.delete(y, row), res.iterate[2])
-        assert x is res.iterate[0] and rho == res.iterate[3]
-        warm = model.solve(max_iters=50, start=res)
-        assert np.isfinite(warm.lower_bound)
+        # the new pin's row, empty in the parent, starts at s = y = 0
+        row = _pin_row(model, cell)
+        assert res.iterate[1][row] == res.iterate[2][row] == 0.0
+        warm = model.solve(tol=1e-4, max_iters=50, start=res)
+        sol = solve_conic(model.problem, tol=1e-4, max_iters=50,
+                          start=res.iterate)
+        for got, want in zip(warm.iterate, (sol.x, sol.s, sol.y, sol.rho)):
+            np.testing.assert_array_equal(got, want)
+        assert warm.solver_status == sol.status
+        tau = model.scale
+        assert warm.lower_bound == (sol.objective + model.constant) * tau * tau
 
 
 class TestGoldenPrograms:
