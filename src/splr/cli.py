@@ -12,6 +12,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import experiments, linalg
 from .altmin import alternating_minimization
 from .bnb import branch_and_bound
@@ -211,12 +213,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

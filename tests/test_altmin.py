@@ -445,6 +445,16 @@ class TestAlternatingMinimization:
         with pytest.raises(ValueError):
             alternating_minimization(inst, eps=0.0)
 
+    @pytest.mark.parametrize("svd_mode", ["exact", "randomized"])
+    def test_rank_deficient_input_reports_its_rank(self, svd_mode):
+        # the singular values kept beyond rank(D) are rounding, far below
+        # the rank count's rtol 1e-9
+        rng = _rng(12)
+        D = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 10))
+        sol, _ = alternating_minimization(ProblemInstance(D, 4, 0, 0.1, 0.1),
+                                          svd_mode=svd_mode)
+        assert sol.rank_of_X == 2
+
     def test_deterministic(self):
         inst = ProblemInstance(_rng(11).standard_normal((6, 6)), 2, 4,
                                1.0, 1.0)

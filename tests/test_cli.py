@@ -166,6 +166,26 @@ class TestBnbCommand:
         assert out.splitlines()[-1] == "stop reason node_limit"
 
 
+def _lapack_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize("command,target", [
+    ("decompose", "splr.linalg.truncated_svd"),
+    ("bound", "splr.conic._project_psd"),
+    ("bnb", "splr.conic._project_psd"),
+])
+def test_lapack_failure_is_a_solver_failure(tmp_path, capsys, monkeypatch,
+                                            command, target):
+    # LinAlgError subclasses ValueError, but it is not an input error
+    mat = _write_matrix(tmp_path / "d.csv", [[2.0, 0.5], [0.5, 1.0]])
+    monkeypatch.setattr(target, _lapack_fails)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, mat, "--k0", "1", "--k1", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "numerical failure: did not converge\n"
+
+
 class TestSynth:
     def test_deterministic(self, tmp_path):
         for sub in ("a", "b"):

@@ -53,6 +53,64 @@ class TestTruncatedSvd:
             linalg.truncated_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
 
 
+def _known_spectrum_cases():
+    """(A, sigma) with A = U diag(sigma) V.T for random orthonormal U, V:
+    tall, wide and square shapes; geometric spectra down to 1e-14,
+    repeated values and exact zeros; scales 1e-8 to 1e8."""
+    rng = _rng(40)
+    for m, n in [(10, 10), (14, 6), (6, 14)]:
+        r = min(m, n)
+        spectra = [np.logspace(0, -14, r),
+                   np.repeat([1.0, 0.5, 1e-3], [2, r - 4, 2]),
+                   np.r_[np.sort(rng.uniform(0.1, 1.0, r - 3))[::-1],
+                         np.zeros(3)]]
+        for sigma in spectra:
+            for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+                U = np.linalg.qr(rng.standard_normal((m, r)))[0]
+                V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+                yield (U * (scale * sigma)) @ V.T, scale * sigma
+
+
+def _gram_only_values(A, k):
+    """Singular values as square roots of the Gram matrix's eigenvalues,
+    with no Rayleigh-Ritz step."""
+    G = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+    return np.sqrt(np.maximum(np.linalg.eigh(G)[0][::-1][:k], 0.0))
+
+
+class TestTruncatedSvdAccuracy:
+    """The error bounds the truncated_svd docstring states, on matrices of
+    known spectrum (each constant has room over the worst measured)."""
+
+    eps = np.finfo(float).eps
+
+    def test_error_bounds(self):
+        eps = self.eps
+        for A, sigma in _known_spectrum_cases():
+            s1 = sigma[0]
+            for k in range(1, sigma.size + 1):
+                f = linalg.truncated_svd(A, k)
+                s = f.singular_values
+                residual = np.linalg.norm(A - f.reconstruct()) ** 2
+                assert residual <= (np.sum(sigma[k:] ** 2)
+                                    + 64 * k * eps * s1 ** 2)
+                assert np.all(np.abs(s - sigma[:k]) * sigma[:k]
+                              <= 64 * eps * s1 ** 2)
+                assert np.all(s <= sigma[:k] + 16 * eps * s1)
+                for Q in (f.left_vectors, f.right_vectors):
+                    np.testing.assert_allclose(Q.T @ Q, np.eye(k), rtol=0,
+                                               atol=1e-12)
+
+    def test_gram_only_values_overshoot(self):
+        # the Ritz step is what keeps the values from overshooting: square
+        # roots of Gram eigenvalues read about sqrt(eps) sigma_1 where
+        # sigma is 0
+        over = max(np.max(_gram_only_values(A, sigma.size) - sigma)
+                   / (self.eps * sigma[0])
+                   for A, sigma in _known_spectrum_cases())
+        assert over > 1e4
+
+
 class TestRandomizedSvd:
     def test_exact_on_lowrank_input(self):
         rng = _rng(4)
