@@ -96,35 +96,28 @@ def iteration_bound(lam: float, mu: float, eps: float) -> float:
 
     Returned as a real; loop guards take the ceiling.
     """
-    if lam <= 0 or mu <= 0 or eps <= 0:
-        raise ValueError("lam, mu, eps must be positive")
+    for name, value in (("lam", lam), ("mu", mu), ("eps", eps)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
     return math.log((mu + lam + mu * lam) / (mu * lam)) / math.log(1.0 + eps)
 
 
-def solve_lowrank_subproblem(Dbar, k0: int, lam: float,
-                             svd_mode: str = "exact", seed: int = 0):
+def solve_lowrank_subproblem(Dbar, k0: int, lam: float):
     """Minimize ||Dbar - X||_F^2 + lam*||X||_F^2 over rank(X) <= k0.
 
     The minimizer is the rank-k0 truncation of Dbar scaled by 1/(1+lam).
-    svd_mode 'randomized' uses the sketched SVD (seed-deterministic).
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    _check_svd_mode(svd_mode)
-    return _lowrank_step(np.asarray(Dbar, dtype=float), k0, lam, svd_mode,
-                         seed)[0]
-
-
-def _check_svd_mode(svd_mode: str) -> None:
-    if svd_mode not in ("exact", "randomized"):
-        raise ValueError(f"unknown svd_mode {svd_mode!r}")
+    return _lowrank_step(np.asarray(Dbar, dtype=float), k0, lam, "exact")[0]
 
 
 def _lowrank_step(Dbar, k0: int, lam: float, svd_mode: str, seed: int = 0,
                   start=None):
-    """Low-rank update of a checked float Dbar (in exact mode also a stack
-    of matrices), returning X and the truncated factorization of Dbar. In
-    randomized mode the row space searched contains the columns of start."""
+    """Low-rank update of a float Dbar, a matrix or a stack, returning X
+    and the truncated factorization of Dbar; the one place that picks the
+    SVD kernel. Randomized mode sketches from seed over a row space that
+    contains the columns of start."""
     if svd_mode == "randomized":
         fact = linalg.randomized_svd(Dbar, k0, seed=seed, start=start)
     else:
@@ -194,7 +187,8 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
     Each entry of history is (runs, objectives) after one iteration, the
     first for the starts; runs lists the runs still going, in order, and
     run b's trace is its objective in the first n_values[b] entries.
-    Randomized mode takes B = 1. X and Y are overwritten.
+    Randomized mode takes B = 1: a run's right vectors start its next
+    sketch and are not cut down when runs stop. X and Y are overwritten.
     """
     stacked = keep is not None and keep.ndim == 3
     D = instance.D
@@ -228,14 +222,9 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
         while runs:
             t += 1
             Y_t = _sparse_step(D - Xr, k1, mu, zero, keep)
-            if svd_mode == "exact":
-                X_t, fact = _lowrank_step(D - Y_t, k0, lam, svd_mode)
-                sv_t = fact.singular_values
-            else:
-                X_t, fact = _lowrank_step(D - Y_t[0], k0, lam, svd_mode,
-                                          seed + t, V)
-                X_t, sv_t, V = (X_t[None], fact.singular_values[None],
-                                fact.right_vectors)
+            X_t, fact = _lowrank_step(D - Y_t, k0, lam, svd_mode, seed + t,
+                                      V)
+            sv_t, V = fact.singular_values, fact.right_vectors
             f_t = objective(instance, X_t, Y_t)
             history.append((runs, f_t))
             small = (fr - f_t) / f_t < eps   # a rise in f counts too
@@ -311,7 +300,8 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
 
     Returns (SlrSolution, AmTrace). The trace is non-increasing.
     """
-    _check_svd_mode(svd_mode)
+    if svd_mode not in ("exact", "randomized"):
+        raise ValueError(f"unknown svd_mode {svd_mode!r}")
     zero, keep = _pattern_masks(pattern, instance.n, instance.k1)
     X, Y = (np.zeros((2, 1) + instance.D.shape) if init is None
             else np.array(init, dtype=float)[:, None])
@@ -379,10 +369,11 @@ def fixed_pattern_certificate(instance: ProblemInstance,
     n, k0, k1 = instance.n, instance.k0, instance.k1
     lam, mu = instance.lam, instance.mu
     pattern.check(n, k1)
-    if len(pattern.I0) != n * n - k1:
-        raise ValueError("pattern is not complete (|I0| != n^2 - k1)")
+    if not pattern.is_complete(k1):
+        raise ValueError("pattern is not complete")
     Xstar = np.asarray(Xstar, dtype=float)
-    S = np.where(pattern.zero, 0.0, 1.0)
+    full = len(pattern.I0) == n * n - k1
+    S = np.where(~pattern.zero if full else pattern.keep, 1.0, 0.0)
     Dtilde = (instance.D - S * ((instance.D - Xstar) / (1.0 + mu))) / (1.0 + lam)
     cond1 = lam + 2.0 * mu / (1.0 + mu) - 1.0
     threshold = cond1 / (1.0 + lam)

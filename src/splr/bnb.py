@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -89,8 +90,10 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
     node_limit nodes have been explored (then truncated=True);
     stop_reason says which.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:
+        raise ValueError(f"eps={eps!r} must be nonnegative")
+    if (node_limit := operator.index(node_limit)) < 0:
+        raise ValueError(f"node_limit={node_limit} must be nonnegative")
     n = instance.n
     t0 = time.perf_counter()
 

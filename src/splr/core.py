@@ -44,8 +44,9 @@ class ProblemInstance:
             raise ValueError(f"k0={self.k0} out of range [1, {n}]")
         if not 0 <= self.k1 <= n * n:
             raise ValueError(f"k1={self.k1} out of range [0, {n * n}]")
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("lam and mu must be positive")
+        for name in ("lam", "mu"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def n(self) -> int:

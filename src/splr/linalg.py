@@ -96,19 +96,23 @@ def randomized_svd(A, k: int, seed: int = 0,
     over W. Every matrix C W.T of rank <= k fits A no better, so
     a start holding the right vectors of a previous fit can only be
     improved on. The start is added after the power iterations, which
-    would wash it out. Deterministic for a fixed seed.
+    would wash it out. Deterministic for a fixed seed. A may be a stack
+    (..., m, n), start then one of (..., n, s); one sketch serves every
+    matrix, so each gets the bits it would get on its own.
     """
-    A = _as_matrix(A)
-    if not 1 <= k <= min(A.shape):
+    A = _as_matrix(A, stack=True)
+    if not 1 <= k <= min(A.shape[-2:]):
         raise ValueError(f"k={k} out of range for shape {A.shape}")
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((A.shape[1], min(k + 10, min(A.shape))))
+    G = rng.standard_normal((A.shape[-1], min(k + 10, *A.shape[-2:])))
+    At = A.swapaxes(-1, -2)
     Q, _ = np.linalg.qr(A @ G)
     for _ in range(2):
-        Q, _ = np.linalg.qr(A.T @ Q)
+        Q, _ = np.linalg.qr(At @ Q)
         Q, _ = np.linalg.qr(A @ Q)
-    R = A.T @ Q
-    W, _ = np.linalg.qr(R if start is None else np.hstack([start, R]))
+    R = At @ Q
+    W, _ = np.linalg.qr(R if start is None
+                        else np.concatenate([start, R], axis=-1))
     return _ritz(A, W, k)
 
 

@@ -98,6 +98,17 @@ class TestIterationBound:
         with pytest.raises(ValueError):
             iteration_bound(0.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("args,name", [
+        ((math.nan, 1.0, 0.1), "lam"),
+        ((1.0, math.inf, 0.1), "mu"),
+        ((1.0, 1.0, math.inf), "eps"),
+        ((1.0, 1.0, math.nan), "eps"),
+    ])
+    def test_rejects_nonfinite(self, args, name):
+        # eps = inf gave a bound of 0.0 iterations
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            iteration_bound(*args)
+
 
 class TestLowrankSubproblem:
     def test_diagonal(self):
@@ -134,10 +145,6 @@ class TestLowrankSubproblem:
             W = rng.standard_normal((5, k0)) @ rng.standard_normal((k0, 5))
             val = np.sum((Dbar - W) ** 2) + lam * np.sum(W * W)
             assert val >= best - 1e-10
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            solve_lowrank_subproblem(np.eye(2), 1, 1.0, svd_mode="fast")
 
 
 def _sparse_bruteforce(Dtilde, k1, mu, pattern=None):
@@ -445,6 +452,21 @@ class TestAlternatingMinimization:
         with pytest.raises(ValueError):
             alternating_minimization(inst, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_nonfinite_eps_rejected(self, eps):
+        # eps = inf made the iteration cap 0, so AM returned X = Y = 0
+        inst = ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0)
+        for svd_mode in ("exact", "randomized"):
+            with pytest.raises(ValueError, match="^eps must be finite"):
+                alternating_minimization(inst, eps=eps, svd_mode=svd_mode)
+        with pytest.raises(ValueError, match="^eps must be finite"):
+            multistart_alternating_minimization(inst, eps=eps)
+
+    def test_unknown_mode(self):
+        inst = ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="unknown svd_mode"):
+            alternating_minimization(inst, svd_mode="fast")
+
     @pytest.mark.parametrize("svd_mode", ["exact", "randomized"])
     def test_rank_deficient_input_reports_its_rank(self, svd_mode):
         # the singular values kept beyond rank(D) are rounding, far below
@@ -691,6 +713,20 @@ class TestFixedPatternCertificate:
                   if gaps[t] > 1e-12]
         if ratios:
             assert min(ratios) <= rate + 0.05
+
+    def test_pattern_complete_by_its_kept_cells(self):
+        # |I1| = k1 fixes the support as |I0| = n^2 - k1 does, and
+        # branch-and-bound settles such a leaf; both patterns of one
+        # support give the same certificate
+        D = np.random.default_rng(3).standard_normal((3, 3))
+        inst = ProblemInstance(D, 1, 2, 2.0, 2.0)
+        kept = SparsityPattern(3, I1={(0, 0), (1, 2)})
+        zeros = SparsityPattern(3, I0=_full_pattern(3, kept.I1).I0)
+        assert kept.is_complete(2) and zeros.is_complete(2)
+        sol, _ = alternating_minimization(inst, pattern=kept)
+        cert = fixed_pattern_certificate(inst, kept, sol.X)
+        assert cert.certified
+        assert cert == fixed_pattern_certificate(inst, zeros, sol.X)
 
     def test_incomplete_pattern_rejected(self):
         inst = ProblemInstance(np.eye(3), 1, 2, 1.0, 1.0)

@@ -282,6 +282,21 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             branch_and_bound(inst, eps=-0.1)
 
+    def test_rejects_nan_eps(self):
+        # a NaN eps never stopped the search on its gap
+        inst = ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^eps="):
+            branch_and_bound(inst, eps=math.nan)
+
+    def test_node_limit_is_a_nonnegative_integer(self):
+        inst = ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^node_limit=-1"):
+            branch_and_bound(inst, node_limit=-1)
+        with pytest.raises(TypeError):
+            branch_and_bound(inst, node_limit=2.5)
+        res = branch_and_bound(inst, node_limit=np.int64(0))
+        assert res.stop_reason == "node_limit" and res.nodes_explored == 0
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         inst = ProblemInstance(rng.standard_normal((3, 3)), 1, 2, 1.0, 1.0)

@@ -82,6 +82,17 @@ class TestDecompose:
         assert main(["decompose", str(tmp_path / "nope.csv"),
                      "--k0", "1", "--k1", "0"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps", "inf"), ("--eps", "nan"), ("--lam", "nan"),
+        ("--mu", "inf")])
+    def test_nonfinite_parameter_exit_2(self, tmp_path, capsys, flag, value):
+        # --eps inf wrote X = Y = 0 after no iteration and exited 0
+        mat = _witness_file(tmp_path)
+        assert main(["decompose", mat, "--k0", "1", "--k1", "1", flag, value,
+                     "--out", str(tmp_path / "dec")]) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "dec_X.csv").exists()
+
 
 class TestBound:
     def test_witness_perspective(self, tmp_path, capsys):
@@ -164,6 +175,15 @@ class TestBnbCommand:
         out = capsys.readouterr().out
         assert "(truncated)" in out
         assert out.splitlines()[-1] == "stop reason node_limit"
+
+    @pytest.mark.parametrize("args", [["--eps", "nan"],
+                                      ["--node-limit", "-1"]])
+    def test_bad_search_parameter_exit_2(self, tmp_path, capsys, args):
+        # both ran and exited 0: a NaN eps never stopped on the gap, and
+        # node limit -1 printed lower bound -inf after no node
+        mat = _witness_file(tmp_path)
+        assert main(["bnb", mat, "--k0", "1", "--k1", "0"] + args) == 2
+        assert capsys.readouterr().out == ""
 
 
 def _lapack_fails(*args, **kwargs):

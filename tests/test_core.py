@@ -51,6 +51,14 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1, 0, 1, 1)
 
+    @pytest.mark.parametrize("lam,mu,name", [
+        (math.nan, 1.0, "lam"), (math.inf, 0.1, "lam"),
+        (1.0, math.nan, "mu"), (1.0, math.inf, "mu"),
+    ])
+    def test_rejects_nonfinite_weights(self, lam, mu, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ProblemInstance(np.eye(2), 1, 2, lam, mu)
+
 
 class TestObjective:
     def test_zero_candidates(self):

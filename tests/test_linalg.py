@@ -293,6 +293,28 @@ class TestStacks:
         with pytest.raises(ValueError):
             linalg.truncated_svd(A, 5)
 
+    @pytest.mark.parametrize("shape", [(4, 9, 5), (4, 5, 9), (4, 7, 7)])
+    def test_randomized_svd(self, shape):
+        # one sketch from the seed serves the stack, and a start stack gives
+        # each matrix its own start
+        B, m, n = shape
+        rng = _rng(22)
+        A = rng.standard_normal(shape)
+        starts = rng.standard_normal((B, n, 2))
+        for k in (1, 3):
+            for start in (None, starts):
+                f = linalg.randomized_svd(A, k, seed=4, start=start)
+                for b in range(B):
+                    g = linalg.randomized_svd(
+                        A[b], k, seed=4,
+                        start=None if start is None else start[b])
+                    for field in ("singular_values", "left_vectors",
+                                  "right_vectors"):
+                        assert getattr(f, field)[b].tobytes() == \
+                            getattr(g, field).tobytes()
+        with pytest.raises(ValueError):
+            linalg.randomized_svd(A, min(m, n) + 1)
+
     def test_top_k(self):
         # integer entries make ties real; a (B, 1, m) stack of rows is how
         # the sparse step passes a pattern's free cells
