@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .core import ProblemInstance, SlrSolution, objective
+from .core import ProblemInstance, SlrSolution, check_finite, objective
 
 
 @dataclass(frozen=True)
@@ -94,21 +94,22 @@ class AmTrace:
 def iteration_bound(lam: float, mu: float, eps: float) -> float:
     """Worst-case iteration count log((mu+lam+mu*lam)/(mu*lam))/log(1+eps).
 
-    Returned as a real; loop guards take the ceiling.
+    Returned as a real; loop guards take the ceiling. lam, mu and eps
+    must be finite and positive, and eps large enough that 1 + eps > 1.
     """
-    for name, value in (("lam", lam), ("mu", mu), ("eps", eps)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive")
+    check_finite(lam=lam, mu=mu, eps=eps)
+    if 1.0 + eps == 1.0:
+        raise ValueError(f"eps={eps!r} is too small: 1 + eps rounds to 1")
     return math.log((mu + lam + mu * lam) / (mu * lam)) / math.log(1.0 + eps)
 
 
 def solve_lowrank_subproblem(Dbar, k0: int, lam: float):
     """Minimize ||Dbar - X||_F^2 + lam*||X||_F^2 over rank(X) <= k0.
 
-    The minimizer is the rank-k0 truncation of Dbar scaled by 1/(1+lam).
+    The minimizer is the rank-k0 truncation of Dbar scaled by 1/(1+lam);
+    lam must be finite and nonnegative.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_finite(positive=False, lam=lam)
     return _lowrank_step(np.asarray(Dbar, dtype=float), k0, lam, "exact")[0]
 
 
@@ -130,10 +131,10 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
     """Minimize ||Dtilde - Y||_F^2 + mu*||Y||_F^2 over ||Y||_0 <= k1.
 
     The support is the k1 largest |Dtilde| entries (respecting any pattern
-    forcing) and each kept entry equals Dtilde_ij/(1+mu).
+    forcing) and each kept entry equals Dtilde_ij/(1+mu); mu must be
+    finite and nonnegative.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    check_finite(positive=False, mu=mu)
     Dtilde = linalg._as_matrix(Dtilde, stack=True)
     zero, keep = _pattern_masks(pattern, len(Dtilde), k1)
     return _sparse_step(Dtilde, k1, mu, zero, keep)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .core import SlrSolution
+from .core import SlrSolution, check_finite
 
 
 def _fit(D, X, Y):
@@ -69,12 +69,11 @@ def spcp(D, mu_pen: float, tol: float = 1e-6, max_iters: int = 2000):
     with joint prox steps (singular-value and entrywise soft thresholding)
     and backtracking line search starting from step 1.0.
 
-    Returns (SlrSolution, rank_count, sparsity_count) where the counts use
-    a 1e-2 magnitude cutoff.
+    mu_pen must be finite and positive. Returns (SlrSolution, rank_count,
+    sparsity_count) where the counts use a 1e-2 magnitude cutoff.
     """
     D = np.asarray(D, dtype=float)
-    if mu_pen <= 0:
-        raise ValueError("mu_pen must be positive")
+    check_finite(mu_pen=mu_pen)
     n = D.shape[0]
     w1 = 1.0 / math.sqrt(n)
     X = np.zeros_like(D)

@@ -56,6 +56,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
+from .core import check_finite
+
 if TYPE_CHECKING:
     import scipy.sparse
 
@@ -83,22 +85,6 @@ class Cone:
         if self.kind != "psd":
             raise ValueError("side only defined for psd cones")
         return int(round(self.dim ** 0.5))
-
-
-def zero_cone(dim):
-    return Cone("zero", dim)
-
-
-def nonneg_cone(dim):
-    return Cone("nonneg", dim)
-
-
-def rsoc_cone(dim):
-    return Cone("rsoc", dim)
-
-
-def psd_cone(side):
-    return Cone("psd", side * side)
 
 
 @dataclass
@@ -341,9 +327,10 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     """Solve a cone program by ADMM with Ruiz-equilibrated data.
 
     On status 'optimal' the relative primal/dual residuals and the
-    normalized duality gap are all at most tol. No randomness: identical
-    inputs give identical outputs. The solution records the setup time
-    (row sorting, Ruiz scaling and factorization) and the iteration time.
+    normalized duality gap are all at most tol, which must be finite and
+    positive. No randomness: identical inputs give identical outputs. The
+    solution records the setup time (row sorting, Ruiz scaling and
+    factorization) and the iteration time.
 
     box=(lo, hi) (arrays or scalars over x) adds certified_bound, a lower
     bound on c'x over the feasible points in the box that holds at any
@@ -354,14 +341,15 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
 
     start=(x, s, y, rho) starts the iterates from an earlier solve over
     the same variables: x, s and y in the problem's row order and original
-    units (as a ConicSolution holds them), rho > 0 its step parameter.
-    The default start is zero with rho = 1.
+    units (as a ConicSolution holds them), rho its finite, positive step
+    parameter. The default start is zero with rho = 1.
     """
     # scipy is imported where a cone program is built or solved, so the
     # numpy-only commands (decompose, synth, cv, bench) never load it
     import scipy.sparse
     from scipy.sparse.linalg import splu
 
+    check_finite(tol=tol)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if stop_at is not None and box is None:
@@ -376,8 +364,7 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
                          f", expected {(n, m, m)}")
     if not all(np.all(np.isfinite(v)) for v in (x0, s0, y0, rho)):
         raise ValueError("start contains non-finite entries")
-    if rho <= 0:
-        raise ValueError(f"start rho must be positive, got {rho}")
+    check_finite(rho=rho)
     rho = float(rho)
     t_start = time.perf_counter()
     layout = _ConeLayout(problem.cones)

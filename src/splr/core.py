@@ -15,6 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def check_finite(positive: bool = True, **values) -> None:
+    """The package's one rule for a real-valued parameter (a weight, a
+    penalty or a tolerance): each value must be finite and above zero, or
+    at least zero when positive is False. Raises ValueError("<name> must
+    be finite and positive"), or "... nonnegative", for the first value
+    outside the range; NaN is outside every range."""
+    for name, value in values.items():
+        if not (0 < value < math.inf or (not positive and value == 0)):
+            raise ValueError(f"{name} must be finite and "
+                             + ("positive" if positive else "nonnegative"))
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Data matrix D with rank/sparsity targets and ridge weights."""
@@ -44,9 +56,7 @@ class ProblemInstance:
             raise ValueError(f"k0={self.k0} out of range [1, {n}]")
         if not 0 <= self.k1 <= n * n:
             raise ValueError(f"k1={self.k1} out of range [0, {n * n}]")
-        for name in ("lam", "mu"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        check_finite(lam=self.lam, mu=self.mu)
 
     @property
     def n(self) -> int:
@@ -93,10 +103,10 @@ def objective(instance: ProblemInstance, X, Y):
 def convexity_constants(lam: float, mu: float) -> ConvexityConstants:
     """Strong-convexity and smoothness constants of the objective.
 
-    m = 2*min(lam, mu), L = 2*max(lam, mu) + 6, kappa = L/m.
+    m = 2*min(lam, mu), L = 2*max(lam, mu) + 6, kappa = L/m; lam and mu
+    must be finite and positive.
     """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lam and mu must be positive")
+    check_finite(lam=lam, mu=mu)
     m = 2.0 * min(lam, mu)
     L = 2.0 * max(lam, mu) + 6.0
     return ConvexityConstants(m=m, L=L, kappa=L / m)
@@ -168,10 +178,9 @@ def reverse_huber_penalty(y: float, mu: float, rho: float) -> float:
 
     The minimizer is z* = min(1, sqrt(mu/rho)*|y|), giving 2*sqrt(mu*rho)*|y|
     in the small-|y| regime and mu*y^2 + rho otherwise. penalty(0) = 0 by
-    continuity (the z -> 0 limit).
+    continuity (the z -> 0 limit). mu and rho must be finite and positive.
     """
-    if mu <= 0 or rho <= 0:
-        raise ValueError("mu and rho must be positive")
+    check_finite(mu=mu, rho=rho)
     ay = abs(float(y))
     if ay == 0.0:
         return 0.0

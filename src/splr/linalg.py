@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_finite
+
 
 @dataclass(frozen=True)
 class SpectralFactorization:
@@ -140,10 +142,9 @@ def top_k_abs_select(M, k: int) -> np.ndarray:
 
 def pseudoinverse(A, tol: float = 1e-12) -> np.ndarray:
     """Moore-Penrose pseudoinverse, zeroing singular values
-    <= tol * sigma_max."""
+    <= tol * sigma_max; tol must be finite and positive."""
     A = _as_matrix(A)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_finite(tol=tol)
     return np.linalg.pinv(A, rcond=tol)
 
 

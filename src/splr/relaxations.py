@@ -33,7 +33,7 @@ import numpy as np
 
 from .altmin import SparsityPattern
 from .conic import Cone, ConicProblem, solve_conic
-from .core import ProblemInstance
+from .core import ProblemInstance, check_finite
 
 
 class _ConeProgramBuilder:
@@ -238,8 +238,7 @@ def _bounds(instance, beta, gamma):
         beta = min((float(np.linalg.norm(D, 2)) + y_cap) / (1 + lam), x_cap)
     if gamma is None:
         gamma = min((float(np.abs(D).max()) + beta) / (1 + mu), y_cap)
-    if beta <= 0 or gamma <= 0:
-        raise ValueError("beta and gamma must be positive")
+    check_finite(beta=beta, gamma=gamma)
     return beta, gamma
 
 
@@ -355,10 +354,10 @@ def build_perspective_relaxation(instance: ProblemInstance,
     pattern by pinning the corresponding Z entries.
 
     If rho1/rho2 are given, the trace and cardinality budgets are replaced
-    by penalty terms rho1*tr(P) + rho2*<E, Z> in the objective.
+    by penalty terms rho1*tr(P) + rho2*<E, Z> in the objective; a given
+    rho must be finite and nonnegative.
     """
-    if min(rho1 or 0.0, rho2 or 0.0) < 0:
-        raise ValueError("rho1 and rho2 must be nonnegative")
+    check_finite(positive=False, rho1=rho1 or 0.0, rho2=rho2 or 0.0)
     D, tau = _normalized(instance.D)
     rho1, rho2 = (None if rho is None else rho / (tau * tau)
                   for rho in (rho1, rho2))
@@ -376,7 +375,8 @@ def build_strengthened_relaxation(instance: ProblemInstance,
     beta and gamma must bound ||X||_2 and max |Y_ij| at every optimum;
     the defaults do, from U = ||D||^2, the objective at X = Y = 0:
     beta = min((||D||_2 + sqrt(U/mu))/(1+lam), sqrt(U/lam)) and
-    gamma = min((max |D_ij| + beta)/(1+mu), sqrt(U/mu)).
+    gamma = min((max |D_ij| + beta)/(1+mu), sqrt(U/mu)). Given values
+    must be finite and positive.
     """
     beta, gamma = _bounds(instance, beta, gamma)
     D, tau = _normalized(instance.D)
@@ -424,7 +424,7 @@ def solve_lowrank_sdp(Dbar, k0: int, lam: float, tol: float = 1e-5):
     Minimizes ||Dbar||^2 + (1+lam)*tr(Theta) - 2<X, Dbar> over the lifted
     feasible set; the optimal value matches the spectral closed form
     lam/(1+lam)*sum_{i<=k0} phi_i^2 + sum_{i>k0} phi_i^2. Dbar must be
-    symmetric. Returns (value, X).
+    symmetric and lam finite and nonnegative. Returns (value, X).
     """
     Dbar = np.asarray(Dbar, dtype=float)
     if Dbar.ndim != 2 or Dbar.shape[0] != Dbar.shape[1]:
@@ -434,15 +434,14 @@ def solve_lowrank_sdp(Dbar, k0: int, lam: float, tol: float = 1e-5):
     n = Dbar.shape[0]
     if not 1 <= k0 <= n:
         raise ValueError("k0 out of range")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_finite(positive=False, lam=lam)
     res = _build_perspective(*_normalized(Dbar), k0, 0, lam, 0.0).solve(
         tol=tol)
     return res.lower_bound, res.X_relax
 
 
 def bound_gap(upper: float, lower: float) -> float:
-    """Relative gap (upper - lower)/upper between a feasible value and a bound."""
-    if upper <= 0:
-        raise ValueError("upper must be positive")
+    """Relative gap (upper - lower)/upper between a feasible value and a
+    bound; upper must be finite and positive."""
+    check_finite(upper=upper)
     return (upper - lower) / upper

@@ -94,6 +94,15 @@ class TestIterationBound:
     def test_values(self, lam, mu, eps, expected):
         assert iteration_bound(lam, mu, eps) == pytest.approx(expected)
 
+    def test_eps_below_float_resolution(self):
+        # log(1 + 1e-17) is 0.0, so the bound divided by zero; the
+        # smallest eps that still moves 1 keeps the log(1 + eps) formula
+        with pytest.raises(ValueError, match="^eps=1e-17 is too small"):
+            iteration_bound(1.0, 1.0, 1e-17)
+        eps = math.nextafter(math.ulp(1.0) / 2, 1.0)
+        assert iteration_bound(1.0, 1.0, eps) == (math.log(3.0)
+                                                  / math.log(1.0 + eps))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             iteration_bound(0.0, 1.0, 0.1)

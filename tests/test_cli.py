@@ -93,6 +93,14 @@ class TestDecompose:
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "dec_X.csv").exists()
 
+    def test_eps_below_float_resolution_exit_2(self, tmp_path, capsys):
+        # 1 + 1e-17 rounds to 1, so the iteration bound divided by zero
+        # and the command died with a ZeroDivisionError traceback
+        mat = _witness_file(tmp_path)
+        assert main(["decompose", mat, "--k0", "1", "--k1", "1", "--eps",
+                     "1e-17", "--out", str(tmp_path / "dec")]) == 2
+        assert "eps=1e-17 is too small" in capsys.readouterr().err
+
 
 class TestBound:
     def test_witness_perspective(self, tmp_path, capsys):
@@ -138,6 +146,18 @@ class TestBound:
         lb, ub = (float(line.split()[2]) for line in lines[:2])
         assert ub == pytest.approx(0.076418, rel=1e-4)
         assert lb < ub
+
+    @pytest.mark.parametrize("variant,flag,value", [
+        ("leezou", "--gamma", "inf"), ("strengthened", "--beta", "nan")])
+    def test_bad_beta_gamma_exit_2(self, tmp_path, capsys, variant, flag,
+                                   value):
+        # --gamma inf made -1/gamma = -0.0, so the k1 budget row was
+        # dropped and the command exited 0
+        mat = _witness_file(tmp_path)
+        assert main(["bound", mat, "--k0", "1", "--k1", "1", "--variant",
+                     variant, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be finite and positive" in err
 
     def test_unknown_variant_usage_error(self, tmp_path):
         mat = _witness_file(tmp_path)

@@ -9,8 +9,7 @@ import pytest
 import scipy.sparse
 
 from splr import conic, experiments
-from splr.conic import (Cone, ConicProblem, nonneg_cone, psd_cone,
-                        rsoc_cone, solve_conic, zero_cone)
+from splr.conic import Cone, ConicProblem, solve_conic
 from splr.core import ProblemInstance
 from splr.relaxations import build_perspective_relaxation
 
@@ -55,11 +54,11 @@ def _one_cone_reference(v, cone):
 class TestValidation:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            _problem([1.0], [[1.0], [1.0]], [0.0, 0.0], [nonneg_cone(1)])
+            _problem([1.0], [[1.0], [1.0]], [0.0, 0.0], [Cone("nonneg", 1)])
 
     def test_b_size_mismatch(self):
         with pytest.raises(ValueError):
-            _problem([1.0], [[1.0]], [0.0, 0.0], [nonneg_cone(1)])
+            _problem([1.0], [[1.0]], [0.0, 0.0], [Cone("nonneg", 1)])
 
     def test_no_rows(self):
         with pytest.raises(ValueError, match="at least one row"):
@@ -67,11 +66,11 @@ class TestValidation:
 
     def test_nonfinite(self):
         with pytest.raises(ValueError):
-            _problem([np.nan], [[1.0]], [0.0], [nonneg_cone(1)])
+            _problem([np.nan], [[1.0]], [0.0], [Cone("nonneg", 1)])
 
     def test_rsoc_min_dim(self):
         with pytest.raises(ValueError):
-            rsoc_cone(1)
+            Cone("rsoc", 1)
 
     @pytest.mark.parametrize("cone", [("exp", 2), ("psd", 5), ("rsoc", 1),
                                       ("nonneg", -1), ("psd", -4)])
@@ -82,7 +81,7 @@ class TestValidation:
             Cone(*cone)
 
     def test_cone_is_frozen(self):
-        cone = rsoc_cone(3)
+        cone = Cone("rsoc", 3)
         with pytest.raises(AttributeError):
             cone.dim = 1
 
@@ -105,15 +104,15 @@ class TestValidation:
 class TestProjections:
     def test_zero(self):
         np.testing.assert_array_equal(
-            _project_one(np.array([1.0, -2.0]), zero_cone(2)), [0.0, 0.0])
+            _project_one(np.array([1.0, -2.0]), Cone("zero", 2)), [0.0, 0.0])
 
     def test_nonneg(self):
         np.testing.assert_array_equal(
-            _project_one(np.array([-1.0, 3.0]), nonneg_cone(2)), [0.0, 3.0])
+            _project_one(np.array([-1.0, 3.0]), Cone("nonneg", 2)), [0.0, 3.0])
 
     def test_psd_clip(self):
         v = np.diag([1.0, -2.0]).ravel()
-        out = _project_one(v, psd_cone(2)).reshape(2, 2)
+        out = _project_one(v, Cone("psd", 4)).reshape(2, 2)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_psd_matches_numpy_eigh_bitwise(self):
@@ -140,8 +139,8 @@ class TestProjections:
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.standard_normal(5) * 3
-            p = _project_one(v, rsoc_cone(5))
-            p2 = _project_one(p, rsoc_cone(5))
+            p = _project_one(v, Cone("rsoc", 5))
+            p2 = _project_one(p, Cone("rsoc", 5))
             np.testing.assert_allclose(p, p2, atol=1e-12)
             a, b, w = p[0], p[1], p[2:]
             assert a >= -1e-12 and b >= -1e-12
@@ -157,14 +156,15 @@ class TestProjections:
         pts = np.array(pts)
         for _ in range(5):
             v = rng.standard_normal(3) * 1.5
-            p = _project_one(v, rsoc_cone(3))
+            p = _project_one(v, Cone("rsoc", 3))
             d_proj = np.linalg.norm(p - v)
             d_grid = np.min(np.linalg.norm(pts - v, axis=1))
             assert d_proj <= d_grid + 0.05  # grid resolution slack
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(2)
-        for cone in (nonneg_cone(4), rsoc_cone(4), psd_cone(2), zero_cone(4)):
+        for cone in (Cone("nonneg", 4), Cone("rsoc", 4), Cone("psd", 4),
+                     Cone("zero", 4)):
             for _ in range(20):
                 u, v = rng.standard_normal(4), rng.standard_normal(4)
                 pu, pv = _project_one(u, cone), _project_one(v, cone)
@@ -172,9 +172,10 @@ class TestProjections:
 
     def test_grouped_product_matches_per_cone(self):
         # kinds and sizes interleaved, so sorting moves every group
-        cones = [psd_cone(4), rsoc_cone(3), zero_cone(3), rsoc_cone(7),
-                 nonneg_cone(4), psd_cone(8), rsoc_cone(2), rsoc_cone(3),
-                 rsoc_cone(18), psd_cone(4)]
+        cones = [Cone("psd", 16), Cone("rsoc", 3), Cone("zero", 3),
+                 Cone("rsoc", 7), Cone("nonneg", 4), Cone("psd", 64),
+                 Cone("rsoc", 2), Cone("rsoc", 3), Cone("rsoc", 18),
+                 Cone("psd", 16)]
         rng = np.random.default_rng(3)
 
         def edge_points(cone):
@@ -218,7 +219,7 @@ class TestProjections:
 class TestSolveCorpus:
     def test_linear_bound(self):
         # min x s.t. x >= 1: row s = x - 1 in nonneg
-        prob = _problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)])
+        prob = _problem([1.0], [[-1.0]], [-1.0], [Cone("nonneg", 1)])
         sol = solve_conic(prob)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(1.0, abs=1e-4)
@@ -232,7 +233,7 @@ class TestSolveCorpus:
                 [0, 0, -1.0, 0],
                 [0, 0, 0, -1.0]]
         b = [-1.0, 0, 0, 0, 0]
-        prob = _problem(c, rows, b, [zero_cone(1), psd_cone(2)])
+        prob = _problem(c, rows, b, [Cone("zero", 1), Cone("psd", 4)])
         sol = solve_conic(prob)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0, abs=1e-4)
@@ -247,7 +248,7 @@ class TestSolveCorpus:
                 [0, -1.0, 0],
                 [0, 0, -1.0]]
         b = [0, 0, 0, -1.0, -2.0]
-        prob = _problem(c, rows, b, [rsoc_cone(3), zero_cone(2)])
+        prob = _problem(c, rows, b, [Cone("rsoc", 3), Cone("zero", 2)])
         sol = solve_conic(prob)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(4.0, abs=10 * 1e-5 * 5)
@@ -255,13 +256,13 @@ class TestSolveCorpus:
     def test_accuracy_contract(self):
         # |objective - optimum| <= 10*tol*(1+|optimum|) across the corpus
         cases = []
-        cases.append((_problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)]),
+        cases.append((_problem([1.0], [[-1.0]], [-1.0], [Cone("nonneg", 1)]),
                       1.0))
         cases.append((_problem([1.0, 0.0, 0.0],
                                [[-1.0, 0, 0], [0, -0.5, 0], [0, 0, -1.0],
                                 [0, -1.0, 0], [0, 0, -1.0]],
                                [0, 0, 0, -1.0, -2.0],
-                               [rsoc_cone(3), zero_cone(2)]), 4.0))
+                               [Cone("rsoc", 3), Cone("zero", 2)]), 4.0))
         tol = 1e-5
         for prob, opt in cases:
             sol = solve_conic(prob, tol=tol)
@@ -274,7 +275,7 @@ class TestSolveCorpus:
         prob = _problem([1.0, 2.0],
                         [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
                         [-1.0, -1.0, -3.0],
-                        [nonneg_cone(3)])
+                        [Cone("nonneg", 3)])
         s1 = solve_conic(prob)
         s2 = solve_conic(prob)
         np.testing.assert_array_equal(s1.x, s2.x)
@@ -285,7 +286,8 @@ class TestSolveCorpus:
         prob = _problem([1.0, 0.0, 0.0],
                         [[-1.0, 0, 0], [0, -0.5, 0], [0, 0, -1.0],
                          [0, -1.0, 0], [0, 0, -1.0]],
-                        [0, 0, 0, -1.0, -2.0], [rsoc_cone(3), zero_cone(2)])
+                        [0, 0, 0, -1.0, -2.0],
+                        [Cone("rsoc", 3), Cone("zero", 2)])
         start = time.perf_counter()
         sol = solve_conic(prob)
         wall = time.perf_counter() - start
@@ -293,7 +295,7 @@ class TestSolveCorpus:
         assert sol.setup_s + sol.solve_s <= wall
 
     def test_max_iters_below_one_rejected(self):
-        prob = _problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)])
+        prob = _problem([1.0], [[-1.0]], [-1.0], [Cone("nonneg", 1)])
         for max_iters in (0, -1):
             with pytest.raises(ValueError, match="max_iters"):
                 solve_conic(prob, max_iters=max_iters)
@@ -301,8 +303,8 @@ class TestSolveCorpus:
     def test_row_order_does_not_change_the_solve(self):
         # strictly feasible primal (s0 inside K) and dual (y0 inside K*),
         # so the optimum is attained; the cones interleave every kind
-        cones = [psd_cone(2), zero_cone(2), rsoc_cone(3), nonneg_cone(3),
-                 rsoc_cone(4), psd_cone(3)]
+        cones = [Cone("psd", 4), Cone("zero", 2), Cone("rsoc", 3),
+                 Cone("nonneg", 3), Cone("rsoc", 4), Cone("psd", 9)]
         rng = np.random.default_rng(0)
         inner = {"zero": lambda d: np.zeros(d), "nonneg": np.ones,
                  "rsoc": lambda d: np.r_[1.0, 1.0, np.full(d - 2, 0.3)],
@@ -350,7 +352,7 @@ class TestSolveCorpus:
         assert peak < 100e6
 
     def test_dual_feasibility_and_gap(self):
-        prob = _problem([1.0], [[-1.0]], [-1.0], [nonneg_cone(1)])
+        prob = _problem([1.0], [[-1.0]], [-1.0], [Cone("nonneg", 1)])
         sol = solve_conic(prob)
         # dual of min c'x s.t. Ax+s=b: max -b'y, c + A'y = 0, y in K*
         assert sol.y[0] >= -1e-6
@@ -364,13 +366,13 @@ def _certificate_corpus():
     psd = _problem([1.0, 0.0, 0.0, 1.0],
                    [[-1.0, 0, 0, 0], [-1.0, 0, 0, 0], [0, -1.0, 0, 0],
                     [0, 0, -1.0, 0], [0, 0, 0, -1.0]],
-                   [-1.0, 0, 0, 0, 0], [zero_cone(1), psd_cone(2)])
+                   [-1.0, 0, 0, 0, 0], [Cone("zero", 1), Cone("psd", 4)])
     rsoc = _problem([1.0, 0.0, 0.0],
                     [[-1.0, 0, 0], [0, -0.5, 0], [0, 0, -1.0],
                      [0, -1.0, 0], [0, 0, -1.0]],
-                    [0, 0, 0, -1.0, -2.0], [rsoc_cone(3), zero_cone(2)])
+                    [0, 0, 0, -1.0, -2.0], [Cone("rsoc", 3), Cone("zero", 2)])
     lp = _problem([1.0, 2.0], [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
-                  [-1.0, -1.0, -3.0], [nonneg_cone(3)])
+                  [-1.0, -1.0, -3.0], [Cone("nonneg", 3)])
     return [(psd, 1.0, (-5.0, 5.0)),
             (rsoc, 4.0, (np.zeros(3), np.array([10.0, 3.0, 3.0]))),
             (lp, 4.0, (0.0, 10.0))]
