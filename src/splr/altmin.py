@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .core import ProblemInstance, SlrSolution, check_finite, objective
+from .core import (ProblemInstance, SlrSolution, _as_matrix, check_finite,
+                   objective)
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def solve_lowrank_subproblem(Dbar, k0: int, lam: float):
     lam must be finite and nonnegative.
     """
     check_finite(positive=False, lam=lam)
-    return _lowrank_step(np.asarray(Dbar, dtype=float), k0, lam, "exact")[0]
+    return _lowrank_step(Dbar, k0, lam, "exact")[0]
 
 
 def _lowrank_step(Dbar, k0: int, lam: float, svd_mode: str, seed: int = 0,
@@ -135,7 +136,7 @@ def solve_sparse_subproblem(Dtilde, k1: int, mu: float,
     finite and nonnegative.
     """
     check_finite(positive=False, mu=mu)
-    Dtilde = linalg._as_matrix(Dtilde, stack=True)
+    Dtilde = _as_matrix(Dtilde, stack=True)
     zero, keep = _pattern_masks(pattern, len(Dtilde), k1)
     return _sparse_step(Dtilde, k1, mu, zero, keep)
 
@@ -286,13 +287,13 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
                              svd_mode: str = "exact", seed: int = 0):
     """Alternate the sparse and low-rank closed-form updates on D.
 
-    Starting from (X0, Y0) = (0, 0) unless init is given, each iteration
-    sets Y from D - X (hard threshold) then X from D - Y (truncated SVD),
-    and stops when the relative objective decrease drops below eps, the
-    objective hits zero, or the iteration cap is reached. The cap is the
-    smaller of max_iters and the analytic worst-case bound. After the first
-    iteration a step that raises the objective (by rounding) is not taken.
-    It runs the package's one AM loop on a stack of one start.
+    Starting from (X0, Y0) = init, finite matrices of D's shape, or (0, 0),
+    each iteration sets Y from D - X (hard threshold) then X from D - Y
+    (truncated SVD), and stops when the relative objective decrease drops below
+    eps, the objective hits zero, or the iteration cap is reached. The cap is
+    the smaller of max_iters and the analytic worst-case bound. After the first
+    iteration a step that raises the objective (by rounding) is not taken. It
+    runs the package's one AM loop on a stack of one start.
 
     svd_mode 'randomized' fits X over a sketched row space that contains
     the previous X's right vectors, so the previous X stays a candidate and
@@ -304,8 +305,9 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     if svd_mode not in ("exact", "randomized"):
         raise ValueError(f"unknown svd_mode {svd_mode!r}")
     zero, keep = _pattern_masks(pattern, instance.n, instance.k1)
-    X, Y = (np.zeros((2, 1) + instance.D.shape) if init is None
-            else np.array(init, dtype=float)[:, None])
+    # _am_stack overwrites its starts, so init is copied
+    X, Y = (np.zeros((2, 1) + instance.D.shape) if init is None else
+            _as_matrix(init, "init", (2,) + instance.D.shape)[:, None].copy())
     return _am_stack(instance, X, Y, eps, max_iters, zero, keep, svd_mode,
                      seed)
 
@@ -365,14 +367,15 @@ def fixed_pattern_certificate(instance: ProblemInstance,
         condition1 = lam + 2*mu/(1+mu) - 1 > 0
 
     and, if rank(X*) = k0, additionally the spectral-gap ratio
-    sigma_{k0+1}(Dtilde)/sigma_{k0}(Dtilde) < condition1/(1+lam).
+    sigma_{k0+1}(Dtilde)/sigma_{k0}(Dtilde) < condition1/(1+lam). Xstar
+    must be a finite matrix of D's shape.
     """
     n, k0, k1 = instance.n, instance.k0, instance.k1
     lam, mu = instance.lam, instance.mu
     pattern.check(n, k1)
     if not pattern.is_complete(k1):
         raise ValueError("pattern is not complete")
-    Xstar = np.asarray(Xstar, dtype=float)
+    Xstar = _as_matrix(Xstar, "Xstar", (n, n))
     full = len(pattern.I0) == n * n - k1
     S = np.where(~pattern.zero if full else pattern.keep, 1.0, 0.0)
     Dtilde = (instance.D - S * ((instance.D - Xstar) / (1.0 + mu))) / (1.0 + lam)

@@ -1,9 +1,10 @@
 """Comparator methods: GoDec, stable principal component pursuit, and a
 preconditioned factored gradient method (ScaledGD-style).
 
-All return SlrSolution objects whose `objective` field is the method's own
-(unregularized) fit ||D - X - Y||_F^2 unless noted; rank and sparsity are
-reported honestly from the returned iterates.
+All take a finite matrix D of any shape, with finite positive tolerances
+and steps, and return SlrSolution objects whose `objective` field is the
+method's own (unregularized) fit ||D - X - Y||_F^2 unless noted; rank and
+sparsity are reported honestly from the returned iterates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .core import SlrSolution, check_finite
+from .core import SlrSolution, _as_matrix, check_finite
 
 
 def _fit(D, X, Y):
@@ -30,7 +31,8 @@ def godec(D, k0: int, k1: int, eps: float = 1e-4, max_iters: int = 1000):
 
     Returns (SlrSolution, trace of objective values).
     """
-    D = np.asarray(D, dtype=float)
+    D = _as_matrix(D, "D")
+    check_finite(eps=eps)
     X = np.zeros_like(D)
     Y = np.zeros_like(D)
     f_prev = _fit(D, X, Y)
@@ -42,12 +44,10 @@ def godec(D, k0: int, k1: int, eps: float = 1e-4, max_iters: int = 1000):
         if k1 > 0:
             S = linalg.top_k_abs_select(D - X, k1)
             Y = S * (D - X)
-        f_t = _fit(D, X, Y)
-        trace.append(f_t)
-        if f_t == 0.0 or (f_prev - f_t) / f_t < eps:
-            f_prev = f_t
+        f_old, f_prev = f_prev, _fit(D, X, Y)
+        trace.append(f_prev)
+        if f_prev == 0.0 or (f_old - f_prev) / f_prev < eps:
             break
-        f_prev = f_t
     sol = SlrSolution(X=X, Y=Y, objective=f_prev,
                       rank_of_X=min(k0, linalg.rank_count(
                           X, rtol=max(X.shape) * np.finfo(float).eps)),
@@ -72,16 +72,15 @@ def spcp(D, mu_pen: float, tol: float = 1e-6, max_iters: int = 2000):
     mu_pen must be finite and positive. Returns (SlrSolution, rank_count,
     sparsity_count) where the counts use a 1e-2 magnitude cutoff.
     """
-    D = np.asarray(D, dtype=float)
-    check_finite(mu_pen=mu_pen)
+    D = _as_matrix(D, "D")
+    check_finite(mu_pen=mu_pen, tol=tol)
     n = D.shape[0]
     w1 = 1.0 / math.sqrt(n)
     X = np.zeros_like(D)
     Y = np.zeros_like(D)
 
     def smooth(Xv, Yv):
-        R = D - Xv - Yv
-        return float(np.sum(R * R)) / (2.0 * mu_pen)
+        return _fit(D, Xv, Yv) / (2.0 * mu_pen)
 
     def nonsmooth(sv, Yv):
         return float(np.sum(sv)) + w1 * float(np.sum(np.abs(Yv)))
@@ -138,9 +137,8 @@ def scaled_gd(D, k0: int, gamma_frac: float = 0.0, step: float = 0.5,
 
     Returns (SlrSolution, trace of fit values).
     """
-    D = np.asarray(D, dtype=float)
-    if k0 < 1:
-        raise ValueError("k0 must be at least 1")
+    D = _as_matrix(D, "D")
+    check_finite(step=step, eps=eps)
     Y = _threshold_fraction(D, gamma_frac)
     fact = linalg.truncated_svd(D - Y, k0)
     root = np.sqrt(fact.singular_values)

@@ -118,14 +118,11 @@ def cmd_synth(args) -> int:
 
 def cmd_cv(args) -> int:
     D = linalg.read_matrix_csv(args.matrix)
-    vals = [float(v) for v in args.grid.split(",")]
-    if args.scale_by_sqrt_n:
-        vals = [v / math.sqrt(D.shape[0]) for v in vals]
-    grid = [(a, b) for a in vals for b in vals]
+    grid = experiments.cv_grid(args.grid.split(","),
+                               D.shape[0] if args.scale_by_sqrt_n else 1)
     fit = experiments.am_cv_fit(args.k0, args.k1, D.shape[0], args.eps)
-    lam, mu, scores = experiments.cross_validate(D, fit, grid,
-                                                 folds=args.folds,
-                                                 seed=args.seed)
+    lam, mu, scores = experiments.cross_validate(
+        D, fit, grid, folds=args.folds, seed=args.seed)
     print(f"best lam {lam:.8g}")
     print(f"best mu {mu:.8g}")
     for (a, b), s in sorted(scores.items()):
@@ -190,11 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--k0", type=int, required=True)
     p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--grid", default="0.01,0.1,1,10",
+    p.add_argument("--grid",
+                   default=",".join(map(str, experiments.DEFAULT_CV_GRID)),
                    help="comma-separated candidate values for both weights")
     p.add_argument("--scale-by-sqrt-n", action="store_true",
                    help="divide grid values by sqrt(n)")
-    p.add_argument("--folds", type=int, default=30)
+    p.add_argument("--folds", type=int, default=experiments.DEFAULT_CV_FOLDS)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cv)

@@ -27,6 +27,22 @@ def check_finite(positive: bool = True, **values) -> None:
                              + ("positive" if positive else "nonnegative"))
 
 
+def _as_matrix(A, name: str = "matrix", shape=None, stack: bool = False):
+    """The package's one rule for a matrix argument: A as a float array of
+    finite entries; with shape "square" an n x n matrix, with a tuple shape
+    that shape, else a matrix or, with stack, a stack (..., m, n) of them."""
+    A = np.asarray(A, dtype=float)
+    if shape == "square" and (A.ndim != 2 or A.shape[0] != A.shape[1]):
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if isinstance(shape, tuple) and A.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {A.shape}")
+    if shape is None and A.ndim != 2 and not (stack and A.ndim > 2):
+        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return A
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Data matrix D with rank/sparsity targets and ridge weights."""
@@ -38,13 +54,8 @@ class ProblemInstance:
     mu: float
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=float)
-        if D.ndim != 2 or D.shape[0] != D.shape[1]:
-            raise ValueError(f"D must be square, got shape {D.shape}")
-        if not np.all(np.isfinite(D)):
-            raise ValueError("D contains non-finite entries")
-        object.__setattr__(self, "D", D)
-        n = D.shape[0]
+        object.__setattr__(self, "D", _as_matrix(self.D, "D", "square"))
+        n = self.D.shape[0]
         for name in ("k0", "k1"):
             value = getattr(self, name)
             try:
@@ -122,12 +133,11 @@ def worst_case_perturbations(instance: ProblemInstance, X, Y):
             = ||R||_F + lam*||X||_F + mu*||Y||_F.
 
     A zero residual is degenerate (any direction attains the bound); then
-    both perturbations are returned as zero with degenerate=True.
+    both perturbations are returned as zero with degenerate=True. X and Y
+    must be finite matrices of D's shape.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != instance.D.shape or Y.shape != instance.D.shape:
-        raise ValueError("X and Y must match the shape of D")
+    X = _as_matrix(X, "X", instance.D.shape)
+    Y = _as_matrix(Y, "Y", instance.D.shape)
     R = instance.D - X - Y
     rnorm = float(np.linalg.norm(R))
     if rnorm == 0.0:
@@ -158,12 +168,11 @@ def matrix_completion_objective(instance: ProblemInstance, X, Z) -> float:
         lam*||X||_F^2 + sum_{Omega} (D-X)_ij^2
             + mu/(1+mu) * sum_{not Omega} (D-X)_ij^2,
 
-    attained at Y_ij = (D-X)_ij/(1+mu) on the support.
+    attained at Y_ij = (D-X)_ij/(1+mu) on the support. X must be a finite
+    matrix of D's shape.
     """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if X.shape != instance.D.shape or Z.shape != instance.D.shape:
-        raise ValueError("X and Z must match the shape of D")
+    X = _as_matrix(X, "X", instance.D.shape)
+    Z = _as_matrix(Z, "Z", instance.D.shape)
     if not np.all((Z == 0) | (Z == 1)):
         raise ValueError("Z must be binary")
     R = instance.D - X

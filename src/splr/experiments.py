@@ -20,7 +20,10 @@ import numpy as np
 from . import linalg
 from .altmin import alternating_minimization
 from .baselines import godec, scaled_gd, spcp
-from .core import ProblemInstance
+from .core import ProblemInstance, _as_matrix, check_finite
+
+DEFAULT_CV_GRID = [0.01, 0.1, 1.0, 10.0]
+DEFAULT_CV_FOLDS = 30
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,10 @@ def _symmetric_support(n, k1, rng):
 
 
 def generate_instance(n, k0, k1, sigma, seed) -> SyntheticInstance:
-    """Draw one synthetic instance; deterministic in the seed."""
+    """Draw one instance, deterministic in the seed; sigma finite and >= 0."""
     if n < 1 or k0 < 1 or k0 > n:
         raise ValueError("bad n/k0")
+    check_finite(positive=False, sigma=sigma)
     rng = np.random.default_rng(seed)
     if sigma == 0:
         V = np.zeros((n, k0))
@@ -107,8 +111,14 @@ def generate_instance(n, k0, k1, sigma, seed) -> SyntheticInstance:
                              sigma=float(sigma), seed=int(seed))
 
 
-def cross_validate(D, method, grid, folds: int = 30, seed: int = 0):
-    """Pick (lam, mu) from a grid by Nystrom-style validation.
+def cv_grid(values, n: int = 1) -> list:
+    """Every (lam, mu) pair of the values, each divided by sqrt(n)."""
+    vals = [float(v) / math.sqrt(n) for v in values]
+    return [(a, b) for a in vals for b in vals]
+
+
+def cross_validate(D, method, grid, folds=DEFAULT_CV_FOLDS, seed=0):
+    """Pick (lam, mu) for a finite square D by Nystrom-style validation.
 
     Each fold holds out a random index subset of size l = floor(n(1-sqrt(0.7)));
     `method(D_train, lam, mu)` must return the low-rank estimate X on the
@@ -119,10 +129,7 @@ def cross_validate(D, method, grid, folds: int = 30, seed: int = 0):
     (spectral norms), averaged over folds. Ties go to the smaller (lam, mu)
     in lexicographic order. Returns (best_lam, best_mu, score_table).
     """
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValueError(f"cross-validation needs a square D, got shape "
-                         f"{D.shape}")
+    D = _as_matrix(D, "D", "square")
     n = D.shape[0]
     if n < 4:
         raise ValueError("cross-validation needs n >= 4")
@@ -193,20 +200,16 @@ def compute_metrics(solution, truth: SyntheticInstance, method: str = "",
 CSV_HEADER = ("experiment,method,n,k0,k1,sigma,trial,seed,"
               "l_error,s_error,discovery_rate,objective,runtime_s,status")
 
-DEFAULT_CV_GRID = [0.01, 0.1, 1.0, 10.0]
-
 
 def _run_method(method, inst: SyntheticInstance, eps, hyper):
     """Dispatch one method on one instance; returns (solution, objective)."""
     lam = float(hyper.get("lam", 0.1))
     mu = float(hyper.get("mu", 0.1))
     if hyper.get("cv"):
-        base = [float(v) for v in hyper.get("cv_grid", DEFAULT_CV_GRID)]
-        vals = [v / math.sqrt(inst.n) for v in base]
-        grid = [(a, b) for a in vals for b in vals]
+        grid = cv_grid(hyper.get("cv_grid", DEFAULT_CV_GRID), inst.n)
         fit = am_cv_fit(inst.k0, inst.k1, inst.n, eps)
-        lam, mu, _ = cross_validate(inst.D, fit, grid,
-                                    folds=int(hyper.get("cv_folds", 30)),
+        folds = int(hyper.get("cv_folds", DEFAULT_CV_FOLDS))
+        lam, mu, _ = cross_validate(inst.D, fit, grid, folds=folds,
                                     seed=inst.seed)
     if method in ("am", "am_accelerated"):
         p = ProblemInstance(inst.D, inst.k0, inst.k1, lam, mu)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_finite
+from .core import _as_matrix, check_finite
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,6 @@ class SpectralFactorization:
     def reconstruct(self) -> np.ndarray:
         return ((self.left_vectors * self.singular_values[..., None, :])
                 @ self.right_vectors.swapaxes(-1, -2))
-
-
-def _as_matrix(A, stack: bool = False) -> np.ndarray:
-    """A as a finite float matrix, or with stack a matrix or a stack
-    (..., m, n) of matrices."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 and not (stack and A.ndim > 2):
-        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix contains non-finite entries")
-    return A
 
 
 def truncated_svd(A, k: int) -> SpectralFactorization:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .altmin import SparsityPattern
 from .conic import Cone, ConicProblem, solve_conic
-from .core import ProblemInstance, check_finite
+from .core import ProblemInstance, _as_matrix, check_finite
 
 
 class _ConeProgramBuilder:
@@ -424,11 +424,9 @@ def solve_lowrank_sdp(Dbar, k0: int, lam: float, tol: float = 1e-5):
     Minimizes ||Dbar||^2 + (1+lam)*tr(Theta) - 2<X, Dbar> over the lifted
     feasible set; the optimal value matches the spectral closed form
     lam/(1+lam)*sum_{i<=k0} phi_i^2 + sum_{i>k0} phi_i^2. Dbar must be
-    symmetric and lam finite and nonnegative. Returns (value, X).
+    finite and symmetric, lam finite and nonnegative. Returns (value, X).
     """
-    Dbar = np.asarray(Dbar, dtype=float)
-    if Dbar.ndim != 2 or Dbar.shape[0] != Dbar.shape[1]:
-        raise ValueError("Dbar must be square")
+    Dbar = _as_matrix(Dbar, "Dbar", "square")
     if not _is_symmetric(Dbar):
         raise ValueError("Dbar must be symmetric")
     n = Dbar.shape[0]

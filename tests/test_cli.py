@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splr import linalg
+from splr import experiments, linalg
 from splr.altmin import alternating_minimization
 from splr.cli import build_parser, main
 from splr.core import ProblemInstance
@@ -278,6 +278,13 @@ class TestCv:
         for folds in ("0", "-1"):
             assert main(["cv", mat, "--k0", "1", "--k1", "2",
                          "--grid", "0.5", "--folds", folds]) == 2
+
+    def test_defaults_are_the_experiments_constants(self):
+        args = build_parser().parse_args(["cv", "d.csv", "--k0", "1",
+                                          "--k1", "2"])
+        assert args.folds == experiments.DEFAULT_CV_FOLDS
+        assert (experiments.cv_grid(args.grid.split(","))
+                == experiments.cv_grid(experiments.DEFAULT_CV_GRID))
 
     def test_non_square_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

@@ -10,10 +10,11 @@ import scipy.sparse
 
 from splr.altmin import (iteration_bound, solve_lowrank_subproblem,
                          solve_sparse_subproblem)
-from splr.baselines import spcp
+from splr.baselines import godec, scaled_gd, spcp
 from splr.conic import Cone, ConicProblem, solve_conic
 from splr.core import (ProblemInstance, check_finite, convexity_constants,
                        reverse_huber_penalty)
+from splr.experiments import generate_instance
 from splr.linalg import pseudoinverse
 from splr.relaxations import (bound_gap, build_lee_zou_relaxation,
                               build_perspective_relaxation,
@@ -78,6 +79,16 @@ SITES = [
     (_solve_from_rho, "rho", False),
     # ran all 50,000 ADMM iterations, then returned max_iters
     (lambda v: solve_conic(_tiny_program(), tol=v), "tol", False),
+    # ran all 1,000 iterations
+    (lambda v: godec(np.eye(2), 1, 1, eps=v), "eps", False),
+    # accepted
+    (lambda v: spcp(np.eye(2), 1.0, tol=v), "tol", False),
+    # LinAlgError from the SVD
+    (lambda v: scaled_gd(np.eye(2), 1, step=v), "step", False),
+    # ran all 500 iterations
+    (lambda v: scaled_gd(np.eye(2), 1, eps=v), "eps", False),
+    # returned a non-finite D
+    (lambda v: generate_instance(5, 1, 2, v, 0), "sigma", True),
 ]
 
 
