@@ -131,14 +131,17 @@ def scaled_gd(D, k0: int, gamma_frac: float = 0.0, step: float = 0.5,
 
     X = U V' is updated by U <- U - step*(R V)(V'V)^-1 and symmetrically
     for V, where R = U V' + Y - D; Y is refreshed each iteration by keeping
-    the top gamma_frac fraction of residual entries. Initialization is
-    spectral: truncated SVD of D minus its thresholded part. Best-effort
-    reconstruction of the cited method; hyperparameters are not prescribed.
+    the top gamma_frac fraction (in [0, 1]) of residual entries.
+    Initialization is spectral: truncated SVD of D minus its thresholded
+    part. Best-effort reconstruction of the cited method; hyperparameters
+    are not prescribed.
 
     Returns (SlrSolution, trace of fit values).
     """
     D = _as_matrix(D, "D")
     check_finite(step=step, eps=eps)
+    if not 0 <= gamma_frac <= 1:
+        raise ValueError(f"gamma_frac={gamma_frac!r} must be in [0, 1]")
     Y = _threshold_fraction(D, gamma_frac)
     fact = linalg.truncated_svd(D - Y, k0)
     root = np.sqrt(fact.singular_values)

@@ -2,10 +2,10 @@
 
 Nodes carry partial patterns (forced-zero set I0, forced-support set I1).
 Each explored node gets a certified lower bound from the pattern-constrained
-perspective relaxation: a dual bound over the relaxed points that could
-beat the incumbent, valid at any ADMM iterate, so every bound the search
-prunes on, hands to a child, settles or returns holds whether or not the
-solver converged. A node's solve stops as soon as that bound reaches
+perspective relaxation: the relaxation's Fenchel dual bound read at the
+ADMM iterate (splr.relaxations), valid at any iterate, so every bound the
+search prunes on, hands to a child, settles or returns holds whether or
+not the solver converged. A node's solve stops as soon as that bound reaches
 (1 - eps) times the incumbent value: the node is then fathomed, since it
 is either pruned or its subtree can no longer keep the gap above eps.
 Upper bounds come from alternating minimization: once unconstrained at the
@@ -132,14 +132,14 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
         nodes_explored += 1
 
         model = build_perspective_relaxation(instance, pattern)
-        res = model.solve(tol=_SOLVER_TOL, upper_bound=ub,
+        res = model.solve(tol=_SOLVER_TOL,
                           stop_at=(1.0 - eps) * ub if ub > 0 else None,
                           start=parent)
         fathomed += res.solver_status == "bound-reached"
         uncertified += not math.isfinite(res.certified_bound)
-        # no relaxed point in this subtree beats ub, or every one of them
-        # has objective >= the certificate
-        lb_node = max(min(ub, res.certified_bound), lb_parent)
+        # every relaxed point in this subtree has objective >= the
+        # certificate
+        lb_node = max(res.certified_bound, lb_parent)
         if lb_node >= ub:
             pass    # pruned
         elif pattern.is_complete(instance.k1):

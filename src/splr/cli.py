@@ -68,17 +68,16 @@ def cmd_bound(args) -> int:
         model = build_strengthened_relaxation(inst, args.beta, args.gamma)
     else:
         model = build_lee_zou_relaxation(inst, args.beta, args.gamma)
-    # the AM value caps the relaxed points of interest, which lets the
-    # solver certify a bound from its last iterate (Lee-Zou has no box)
+    # the perspective-family models certify a bound at the solver's last
+    # iterate (Lee-Zou has no certificate yet); AM gives the upper bound
     sol, _ = alternating_minimization(inst, eps=1e-6)
-    res = model.solve(upper_bound=sol.objective)
+    res = model.solve()
     certified = math.isfinite(res.certified_bound)
     if not certified and res.solver_status != "optimal":
         print(f"solver did not converge (status {res.solver_status})",
               file=sys.stderr)
         return 1
-    lower = (min(sol.objective, res.certified_bound) if certified
-             else res.lower_bound)
+    lower = res.certified_bound if certified else res.lower_bound
     gap = bound_gap(sol.objective, lower) if sol.objective > 0 else 0.0
     print(f"lower bound {lower:.8g}")
     print(f"upper bound {sol.objective:.8g} (alternating minimization)")

@@ -13,9 +13,10 @@ projection onto K, carrying a scaled dual. Deterministic.
 
 The solve checks its iterate after the first iteration, every 25th and
 the last: it tests the residuals and the duality gap, rebalances the step
-parameter rho and, with a stop target, certifies a bound (below). The
-check after iteration 1 lets a start that is already converged, or whose
-bound already reaches its target, end there.
+parameter rho and, with a stop target, asks the caller's certificate for
+a lower bound on c'x at the current x (below). The check after iteration
+1 lets a start that is already converged, or whose bound already reaches
+its target, end there.
 
 Setup sorts the rows of K once per solve so that each cone group is one
 contiguous slice: the zero rows, the nonneg rows, the first and then the
@@ -28,28 +29,24 @@ Setup also Ruiz-equilibrates the data, scaling a copy of ``A.data`` in
 place on each pass, with uniform row scaling inside each rsoc/psd block
 (so cone membership is preserved).
 
-Given a box lo <= x <= hi that contains every point of interest, the
-solver also certifies a lower bound from its current dual iterate, valid
-whether or not ADMM has converged (Neumaier and Shcherbina, Math. Prog.
-2004): with y projected onto K* (every cone here is self-dual; zero-cone
-rows stay free) and r = c + A'y, any feasible x in the box has
-
-    c'x = r'x - b'y + y's >= -b'y + sum_j min(r_j lo_j, r_j hi_j).
-
-With a stop target the solve ends as soon as that bound reaches it.
+A certificate is the caller's map from an iterate x to a lower bound on
+the optimal c'x that holds at any x, converged or not (the relaxations
+build one from the program's structure). With a stop target the solve
+ends as soon as that bound reaches it. The solver only reads the bound,
+so a certificate never changes the iterates.
 
 A solve can start from the final (x, s, y, rho) of an earlier solve over
 the same variables, as SCS does (O'Donoghue, Chu, Parikh and Boyd, JOTA
 2016): setup maps them into the scaled, sorted iterate, with the scaled
 dual of s taken from ADMM's fixed-point relation ws = -nu/rho. A solve
-without a start takes the same path from zero with rho = 1. The
-certificate holds at any iterate, so it does not depend on the start.
+without a start takes the same path from zero with rho = 1.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -130,8 +127,8 @@ class ConicSolution:
     iterations: int
     setup_s: float  # row sorting, Ruiz scaling and the factorization
     solve_s: float  # the ADMM iterations
-    # lower bound on c'x over the feasible points in the box; -inf
-    # without a box or when the bound is not finite
+    # the certificate at the returned x: a lower bound on the optimal
+    # c'x; -inf without a certificate
     certified_bound: float
     rho: float  # the final ADMM step parameter, for a warm start
 
@@ -291,38 +288,9 @@ def _ruiz_equilibrate(A, b, c, layout: _ConeLayout, passes: int = 10):
     return A, d * b, e * c, d, e
 
 
-# relative rounding slack of the certificate: its sums, the eigh inside
-# the projection onto K* and the product A'y each lose a few ulps
-_CERT_SLACK = 32 * np.finfo(float).eps
-
-
-def _certifier(At, b, c, layout: _ConeLayout, box):
-    """The map y -> certified lower bound on c'x over the feasible x with
-    Ax + s = b, s in K and lo <= x <= hi (module docstring), given At =
-    A'; -inf when it is not finite. Rows of A, b and y are in the
-    layout's sorted order."""
-    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), c.shape)
-              for v in box)
-    absAt = abs(At)
-    reach = np.maximum(np.abs(lo), np.abs(hi))
-
-    def certify(y):
-        yp = _project(y, layout)
-        yp[layout.zero] = y[layout.zero]
-        r = c + At @ yp
-        by = b * yp
-        with np.errstate(invalid="ignore", over="ignore"):  # infinite box
-            terms = np.minimum(r * lo, r * hi)
-            size = (np.abs(by).sum()
-                    + reach @ (np.abs(c) + absAt @ np.abs(yp)))
-            bound = float(terms.sum() - by.sum() - _CERT_SLACK * size)
-        return bound if math.isfinite(bound) else -math.inf
-
-    return certify
-
-
 def solve_conic(problem: ConicProblem, tol: float = 1e-5,
-                max_iters: int = 50000, box=None,
+                max_iters: int = 50000,
+                certify: Callable[[np.ndarray], float] | None = None,
                 stop_at: float | None = None, start=None) -> ConicSolution:
     """Solve a cone program by ADMM with Ruiz-equilibrated data.
 
@@ -332,12 +300,12 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     solution records the setup time (row sorting, Ruiz scaling and
     factorization) and the iteration time.
 
-    box=(lo, hi) (arrays or scalars over x) adds certified_bound, a lower
-    bound on c'x over the feasible points in the box that holds at any
-    iterate; it only reads the solver state. With stop_at as well, every
-    check (after iteration 1, every 25th and the last) also certifies,
-    and the solve ends with status 'bound-reached' once the bound is at
-    least stop_at. Each exit certifies its iterate once.
+    certify, a map from x (in the problem's units) to a lower bound on
+    the optimal c'x, fills certified_bound at the returned x. With
+    stop_at as well, every check (after iteration 1, every 25th and the
+    last) also certifies, and the solve ends with status 'bound-reached'
+    once the bound is at least stop_at. Each exit certifies its iterate
+    once.
 
     start=(x, s, y, rho) starts the iterates from an earlier solve over
     the same variables: x, s and y in the problem's row order and original
@@ -352,8 +320,8 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     check_finite(tol=tol)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    if stop_at is not None and box is None:
-        raise ValueError("a stop target needs a box")
+    if stop_at is not None and certify is None:
+        raise ValueError("a stop target needs a certificate")
     m, n = problem.A.shape
     if start is None:
         start = (np.zeros(n), np.zeros(m), np.zeros(m), 1.0)
@@ -373,7 +341,6 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     # the problem's order on return
     A0, b0, c0 = problem.A[order], problem.b[order], problem.c
     A0t = A0.T
-    certify = None if box is None else _certifier(A0t, b0, c0, layout, box)
     A, b, c, dscale, escale = _ruiz_equilibrate(A0, b0, c0, layout)
     # normalize rhs and objective scales (undone via sigb/sigc below)
     sigb = 1.0 + np.linalg.norm(b)
@@ -442,7 +409,7 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
             xo = sigb * escale * x
             so = sigb * st / dscale
             yo = sigc * dscale * nu
-            bound = None    # certify(yo), once the check computes it
+            bound = None    # certify(xo), once the check computes it
             if not np.all(np.isfinite(x)):
                 status = "numerical-failure"
                 break
@@ -455,14 +422,14 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
                 status = "optimal"
                 break
             if stop_at is not None:
-                bound = certify(yo)
+                bound = certify(xo)
                 if bound >= stop_at:
                     status = "bound-reached"
                     break
 
     t_end = time.perf_counter()
     if bound is None:
-        bound = -math.inf if certify is None else certify(yo)
+        bound = -math.inf if certify is None else certify(xo)
     if status == "max_iters" and not (np.isfinite(pres) and np.isfinite(dres)):
         status = "infeasible-suspected"
     s_out, y_out = np.empty(m), np.empty(m)

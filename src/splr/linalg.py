@@ -89,11 +89,17 @@ def randomized_svd(A, k: int, seed: int = 0,
     improved on. The start is added after the power iterations, which
     would wash it out. Deterministic for a fixed seed. A may be a stack
     (..., m, n), start then one of (..., n, s); one sketch serves every
-    matrix, so each gets the bits it would get on its own.
+    matrix, so each gets the bits it would get on its own. A start must be
+    finite and have A's leading axes and n rows.
     """
     A = _as_matrix(A, stack=True)
     if not 1 <= k <= min(A.shape[-2:]):
         raise ValueError(f"k={k} out of range for shape {A.shape}")
+    if start is not None:
+        if np.shape(start)[:-1] != A.shape[:-2] + A.shape[-1:]:
+            raise ValueError(f"start must have shape {A.shape[:-2]} + "
+                             f"({A.shape[-1]}, s), got {np.shape(start)}")
+        start = _as_matrix(start, "start", stack=True)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((A.shape[-1], min(k + 10, *A.shape[-2:])))
     At = A.swapaxes(-1, -2)

@@ -15,6 +15,23 @@ X is replaced by its exact linearization
 ||D||^2 - 2<D, X> + (1+lam)*tr(Theta), which is tight for the pure low-rank
 problem; keeping the quadratic there gives a strictly weaker bound.
 
+Every perspective-family model (the strengthened one included) carries a
+certificate: a map from any iterate of its cone program to a lower bound
+on its optimum, valid whether or not the solve converged. With Theta, P,
+alpha, Z and t minimized out, the relaxation is min ||D - X - Y||^2 +
+lam*h_k0(sigma(X)) + mu*h_k1(Y), with h_k the squared k-support norm
+(Argyriou, Foygel and Srebro, NeurIPS 2012), whose conjugate at u is the
+sum of the k largest u_i^2 over 4. Fenchel-Young term by term gives
+
+    d(W) = <D, W> - ||W||^2/4 - sum_{i<=k0} sigma_i(W)^2/(4 lam)
+           - (sum_{I1} W_ij^2 + the top k1-|I1| free W_ij^2)/(4 mu)
+
+at any W, read at W = 2(D - X - Y); penalties rho in place of the budgets
+turn a top-k sum into a sum of max(0, term - rho). The strengthened
+relaxation is at least the perspective one, so d(W) bounds it too. The
+linearized low-rank model is certified by its value ||D||^2 -
+sum_{i<=k0} sigma_i(D)^2/(1+lam). The Lee-Zou model has no certificate.
+
 Programs are built from integer id matrices: the builder hands out each
 matrix variable as an array of variable ids (a symmetric one numbers its
 upper triangle row-major), and a whole cone is added at once from a
@@ -106,10 +123,9 @@ class RelaxationResult:
     P_fractional: np.ndarray
     X_relax: np.ndarray
     solver_status: str
-    # lower bound on the objective of every relaxed point whose objective
-    # is at most the upper bound given to solve, so min(upper bound,
-    # certified_bound) bounds the relaxation at any iterate; -inf when
-    # there was no upper bound or the model has no box
+    # the model's certificate at the final iterate: a lower bound on the
+    # relaxation's optimum whether or not the solve converged; -inf for a
+    # model without a certificate
     certified_bound: float
     # the final (x, s, y, rho) in model units: starts another pattern's solve
     iterate: tuple
@@ -123,9 +139,8 @@ class RelaxationModel:
 
     The program is built on D/scale (unit-magnitude data keeps the ADMM
     iterates well conditioned); bounds scale back by scale^2 and the
-    matrix variables by scale. box, when the model has one, maps a cap on
-    c'x to bounds (lo, hi) on every variable of a feasible point with
-    c'x <= cap.
+    matrix variables by scale. certify, when the model has one, maps any
+    x to a lower bound on the optimal c'x (module docstring).
 
     A model built with a pattern has one zero-cone row per cell of Z,
     pinned or free, so every pattern's program over one instance has the
@@ -138,28 +153,21 @@ class RelaxationModel:
     P: np.ndarray = None
     Z: np.ndarray = None
     scale: float = 1.0
-    box: Callable[[float], tuple] | None = None
+    certify: Callable[[np.ndarray], float] | None = None
 
     def solve(self, tol: float = 1e-5, max_iters: int = 50000,
-              upper_bound: float | None = None,
               stop_at: float | None = None,
               start: RelaxationResult | None = None) -> RelaxationResult:
-        """Solve the program. Given an upper_bound U on the objective of
-        the points of interest (an incumbent's value), certify a lower
-        bound over the relaxed points with objective <= U; given stop_at
-        as well, stop once that bound reaches stop_at (status
-        'bound-reached'). Both are in the caller's units. start, another
-        pattern's result, starts the solver from its final iterate."""
+        """Solve the program and certify a lower bound at its final
+        iterate. Given stop_at (in the caller's units), stop once the
+        certified bound reaches it (status 'bound-reached'). start,
+        another pattern's result, starts the solver from its final
+        iterate."""
         tau2 = self.scale * self.scale
-
-        def model_units(value):
-            return None if value is None else value / tau2 - self.constant
-
-        box = None
-        if upper_bound is not None and self.box is not None:
-            box = self.box(model_units(upper_bound))
+        if stop_at is not None:
+            stop_at = stop_at / tau2 - self.constant    # model units
         sol = solve_conic(self.problem, tol=tol, max_iters=max_iters,
-                          box=box, stop_at=model_units(stop_at),
+                          certify=self.certify, stop_at=stop_at,
                           start=None if start is None else start.iterate)
         x, tau = sol.x, self.scale
 
@@ -256,23 +264,49 @@ def _normalized(D):
     return D / tau, tau
 
 
+def _perspective_certificate(D, k0, k1, lam, mu, pattern, rho1, rho2, X, Y):
+    """The certificate of _build_perspective's program over unit-scale D
+    (module docstring): x -> d(W) at W = 2(D - X - Y), less a rounding
+    slack, as a bound on c'x; -inf where W is not finite. The singular
+    values come from a full SVD: partial ones fall short of sigma_i(W)
+    and would overstate the bound."""
+    n = len(D)
+    slack = 32 * n * np.finfo(float).eps   # a few ulps per summed entry
+    if k1 == 0:
+        top = np.sum(np.linalg.svd(D, compute_uv=False)[:k0] ** 2)
+        bound = -top / (1 + lam) - slack * (float(np.sum(D * D)) + top)
+        return lambda x: bound
+    if pattern is None:
+        pattern = SparsityPattern(n)
+    keep, free = pattern.keep, ~(pattern.keep | pattern.zero)
+    # the free cells' count less the budget they share
+    skip = np.count_nonzero(free) - (k1 - len(pattern.I1))
+
+    def certify(x):
+        W = 2.0 * (D - x[X] - x[Y])
+        if not np.isfinite(W).all():
+            return -math.inf
+        sx = np.linalg.svd(W, compute_uv=False) ** 2 / (4 * lam)
+        sy = W * W / (4 * mu)
+        x_terms = sx[:k0] if rho1 is None else np.maximum(sx - rho1, 0.0)
+        if rho2 is None:
+            y_terms = np.r_[sy[keep], np.sort(sy[free])[skip:]]
+        else:
+            y_terms = np.r_[sy[keep] - rho2, np.maximum(sy[free] - rho2, 0.0)]
+        fit, quad = D * W, np.sum(W * W) / 4
+        size = np.abs(fit).sum() + quad + n * sx[0] + np.abs(y_terms).sum()
+        return float(fit.sum() - quad - x_terms.sum() - y_terms.sum()
+                     - slack * size)
+
+    return certify
+
+
 def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
                        rho2=None, strengthen=None):
     """The perspective relaxation of unit-scale D, optionally with the
     strengthening (beta, gamma). When k1 = 0 it is the linearized
     low-rank model: objective ||D||^2 - 2<D, X> + (1+lam)*tr(Theta) under
-    the trace budget and the blocks, with no residual, Z or penalties.
-
-    The model's box bounds every variable of a point whose objective is
-    at most U. Z, P and Pr lie in [-1, 1] (0 <= Z <= 1, 0 <= P <= I), and
-    Z, t, alpha and the diagonals of Theta and P are nonnegative. The
-    [[Theta, X], [X', P]] block with P <= I gives Theta >= XX', so
-    ||X||^2 <= tr(Theta) and |Theta_ij| <= tr(Theta). In the general
-    model every objective term is nonnegative (the penalties and the
-    strengthening included), so t <= U, tr(Theta) <= U/lam and
-    alpha_ij <= U/mu, with Y_ij^2 <= alpha_ij. In the low-rank model
-    q = sqrt(tr(Theta)) has ||D||^2 - 2 ||D|| q + (1+lam) q^2 <= U, which
-    bounds q by the root s below."""
+    the trace budget and the blocks, with no residual, Z or penalties."""
     n = len(D)
     if pattern is not None:
         pattern.check(n, k1)
@@ -324,26 +358,10 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         _add_psd_block(bld, _row_projection(bld, D, P, k0), X, P,
                        scale=beta)
 
-    def box(cap):
-        lo, hi = np.full(bld.nvars, -1.0), np.ones(bld.nvars)
-        if lowrank:
-            nD, U = math.sqrt(bld.constant), cap + bld.constant
-            s = (nD + math.sqrt(max(0.0, (1 + lam) * U - lam * nD * nD))) \
-                / (1 + lam)
-            caps = [(X, s), (Th, s * s)]
-        else:
-            cap = max(cap, 0.0)
-            caps = [(t, cap), (alpha, cap / mu), (Y, math.sqrt(cap / mu)),
-                    (X, math.sqrt(cap / lam)), (Th, cap / lam)]
-        for ids, u in caps:
-            lo[ids], hi[ids] = -u, u
-        nonneg = [np.diag(Th), np.diag(P)] + ([] if lowrank else [t, alpha, Z])
-        for ids in nonneg:
-            lo[ids] = 0.0
-        return lo, hi
-
-    return RelaxationModel(problem=bld.build(), constant=bld.constant, X=X,
-                           P=P, Z=Z, scale=tau, box=box)
+    return RelaxationModel(
+        problem=bld.build(), constant=bld.constant, X=X, P=P, Z=Z, scale=tau,
+        certify=_perspective_certificate(D, k0, k1, lam, mu, pattern, rho1,
+                                         rho2, X, Y))
 
 
 def build_perspective_relaxation(instance: ProblemInstance,

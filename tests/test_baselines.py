@@ -108,3 +108,14 @@ class TestScaledGd:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             scaled_gd(np.eye(3), 0)
+
+    @pytest.mark.parametrize("frac", [np.nan, -1.0, 2.0, np.inf])
+    def test_rejects_a_fraction_outside_the_unit_interval(self, frac):
+        # NaN raised from math.ceil, -1.0 was read as 0 and 2.0 as 1
+        with pytest.raises(ValueError, match="gamma_frac"):
+            scaled_gd(np.eye(6), 1, gamma_frac=frac)
+
+    def test_fraction_ends_keep_none_or_every_entry(self):
+        D = np.arange(36.0).reshape(6, 6)
+        assert scaled_gd(D, 1, gamma_frac=0.0)[0].nnz_of_Y == 0
+        assert scaled_gd(D, 1, gamma_frac=1.0)[0].nnz_of_Y == 35

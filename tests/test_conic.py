@@ -1,6 +1,7 @@
 """Tests for the first-order cone-program solver."""
 
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -324,8 +325,8 @@ class TestSolveCorpus:
                                for i in by_kind])
         assert not np.array_equal(rows, np.arange(m))
         tidy = _problem(mixed.c, A[rows], b[rows], [cones[i] for i in by_kind])
-        box = (-5.0, 5.0)
-        one, two = (solve_conic(p, box=box) for p in (mixed, tidy))
+        one, two = (solve_conic(p, certify=lambda x: float(mixed.c @ x))
+                    for p in (mixed, tidy))
         assert one.status == two.status == "optimal"
         np.testing.assert_allclose(one.x, two.x, rtol=0, atol=1e-9)
         np.testing.assert_allclose(one.s[rows], two.s, rtol=0, atol=1e-9)
@@ -359,10 +360,10 @@ class TestSolveCorpus:
         assert abs(sol.objective - (-prob.b @ sol.y)) <= 1e-3
 
 
-def _certificate_corpus():
-    """(program, optimum, box) triples: psd with a pinned entry, rsoc with
-    pinned rows (their zero-cone duals are negative at the optimum) and a
-    two-variable LP."""
+def _corpus():
+    """(program, optimum) pairs: psd with a pinned entry, rsoc with pinned
+    rows (their zero-cone duals are negative at the optimum) and a
+    two-variable LP; each takes at least 75 iterations from a cold start."""
     psd = _problem([1.0, 0.0, 0.0, 1.0],
                    [[-1.0, 0, 0, 0], [-1.0, 0, 0, 0], [0, -1.0, 0, 0],
                     [0, 0, -1.0, 0], [0, 0, 0, -1.0]],
@@ -373,67 +374,99 @@ def _certificate_corpus():
                     [0, 0, 0, -1.0, -2.0], [Cone("rsoc", 3), Cone("zero", 2)])
     lp = _problem([1.0, 2.0], [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
                   [-1.0, -1.0, -3.0], [Cone("nonneg", 3)])
-    return [(psd, 1.0, (-5.0, 5.0)),
-            (rsoc, 4.0, (np.zeros(3), np.array([10.0, 3.0, 3.0]))),
-            (lp, 4.0, (0.0, 10.0))]
+    return [(psd, 1.0), (rsoc, 4.0), (lp, 4.0)]
+
+
+def _checks(iterations):
+    """The iterations at which a solve that ran this many checked."""
+    return {1, iterations} | set(range(25, iterations + 1, 25))
+
+
+class _Recorder:
+    """A stand-in certificate: it records each x it is given and returns
+    values in turn (the call count, by default)."""
+
+    def __init__(self, values=None):
+        self.xs = []
+        self.values = values
+
+    def __call__(self, x):
+        self.xs.append(x.copy())
+        return (float(len(self.xs)) if self.values is None
+                else self.values[len(self.xs) - 1])
+
+
+def _ridge_case():
+    """A perspective program whose budgets do not bind (k0 = n, k1 = n^2),
+    so its optimum is the ridge value ||D||^2/(1 + 1/lam + 1/mu), with the
+    model's certificate: (program, certify, optimum in model units)."""
+    D = np.array([[1.0, -0.5], [0.25, 0.75]])
+    model = build_perspective_relaxation(ProblemInstance(D, 2, 4, 1.0, 1.0))
+    opt = np.sum((D / model.scale) ** 2) / 3
+    return model.problem, model.certify, opt
 
 
 class TestCertificate:
-    def test_box_never_changes_the_solve(self):
-        for prob, _, box in _certificate_corpus():
+    def test_bound_at_every_truncation_and_tight_at_optimal(self):
+        prob, certify, opt = _ridge_case()
+        for max_iters in (1, 25, 50, 200):
+            sol = solve_conic(prob, max_iters=max_iters, certify=certify)
+            assert sol.certified_bound <= opt
+        sol = solve_conic(prob, certify=certify)
+        assert sol.status == "optimal"
+        assert opt - 1e-3 * opt <= sol.certified_bound <= opt
+
+    def test_certificate_never_changes_the_iterates(self):
+        # with an unreachable target it is read at every check, without
+        # one only at the returned x
+        for prob, _ in _corpus():
             for max_iters in (30, 50000):
                 plain = solve_conic(prob, max_iters=max_iters)
-                boxed = solve_conic(prob, max_iters=max_iters, box=box)
-                for name in ("x", "s", "y"):
-                    np.testing.assert_array_equal(getattr(plain, name),
-                                                  getattr(boxed, name))
-                assert plain.status == boxed.status
-                assert plain.iterations == boxed.iterations
-                assert plain.certified_bound == -np.inf
-                assert np.isfinite(boxed.certified_bound)
-
-    def test_bound_at_every_truncation_and_tight_at_optimal(self):
-        for prob, opt, box in _certificate_corpus():
-            for max_iters in (1, 25, 50, 200):
-                sol = solve_conic(prob, max_iters=max_iters, box=box)
-                assert sol.certified_bound <= opt
-            sol = solve_conic(prob, box=box)
-            assert sol.status == "optimal"
-            assert sol.certified_bound <= opt
-            assert sol.certified_bound >= opt - 1e-3 * abs(opt)
+                for stop_at in (None, math.inf):
+                    seen = _Recorder()
+                    sol = solve_conic(prob, max_iters=max_iters,
+                                      certify=seen, stop_at=stop_at)
+                    for name in ("x", "s", "y"):
+                        np.testing.assert_array_equal(getattr(plain, name),
+                                                      getattr(sol, name))
+                    assert plain.status == sol.status
+                    assert plain.iterations == sol.iterations
+                    assert plain.certified_bound == -np.inf
+                    calls = (1 if stop_at is None
+                             else len(_checks(sol.iterations)))
+                    assert len(seen.xs) == calls
+                    np.testing.assert_array_equal(seen.xs[-1], sol.x)
+                    assert sol.certified_bound == calls
 
     def test_stop_target_ends_the_solve(self):
-        for prob, opt, box in _certificate_corpus():
-            full = solve_conic(prob, box=box)
-            target = opt - 0.05 * abs(opt)
-            sol = solve_conic(prob, box=box, stop_at=target)
+        # the third check (iteration 50) is the first whose bound reaches
+        # the target
+        for prob, _ in _corpus():
+            sol = solve_conic(prob, certify=_Recorder(), stop_at=3.0)
             assert sol.status == "bound-reached"
-            assert target <= sol.certified_bound <= opt
-            assert sol.iterations % 25 == 0
-            assert sol.iterations < full.iterations
-            # a target above the optimum is never reached
-            sol = solve_conic(prob, box=box, stop_at=opt + 1.0)
-            assert sol.status == "optimal"
-            assert sol.iterations == full.iterations
+            assert sol.iterations == 50
+            assert sol.certified_bound == 3.0
+            plain = solve_conic(prob, max_iters=50)
+            np.testing.assert_array_equal(plain.x, sol.x)
 
-    def test_unbounded_box_certifies_nothing(self):
-        prob, _, _ = _certificate_corpus()[0]
-        sol = solve_conic(prob, box=(-np.inf, np.inf))
-        assert sol.certified_bound == -np.inf
+    def test_bound_reached_at_the_first_check(self):
+        prob, _ = _corpus()[0]
+        sol = solve_conic(prob, certify=_Recorder([7.0]), stop_at=7.0)
+        assert sol.status == "bound-reached" and sol.iterations == 1
 
-    def test_stop_target_needs_a_box(self):
-        prob, _, _ = _certificate_corpus()[0]
-        with pytest.raises(ValueError):
+    def test_stop_target_needs_a_certificate(self):
+        prob, _ = _corpus()[0]
+        with pytest.raises(ValueError, match="certificate"):
             solve_conic(prob, stop_at=0.0)
 
 
 class TestWarmStart:
     def _solved(self):
-        prob, opt, box = _certificate_corpus()[0]
-        return prob, opt, box, solve_conic(prob, box=box)
+        prob, opt = _corpus()[0]
+        return prob, opt, solve_conic(prob)
 
     def test_start_with_wrong_sizes_rejected(self):
-        prob, _, _, sol = self._solved()
+        prob, _, sol = self._solved()
         for start in ((sol.x[1:], sol.s, sol.y, sol.rho),
                       (sol.x, sol.s[1:], sol.y, sol.rho),
                       (sol.x, sol.s, np.r_[sol.y, 0.0], sol.rho)):
@@ -441,7 +474,7 @@ class TestWarmStart:
                 solve_conic(prob, start=start)
 
     def test_nonfinite_start_rejected(self):
-        prob, _, _, sol = self._solved()
+        prob, _, sol = self._solved()
         for k in range(3):
             start = [sol.x.copy(), sol.s.copy(), sol.y.copy(), sol.rho]
             start[k][0] = np.nan
@@ -451,17 +484,17 @@ class TestWarmStart:
             solve_conic(prob, start=(sol.x, sol.s, sol.y, np.inf))
 
     def test_nonpositive_rho_rejected(self):
-        prob, _, _, sol = self._solved()
+        prob, _, sol = self._solved()
         for rho in (0.0, -1.0):
             with pytest.raises(ValueError, match="rho"):
                 solve_conic(prob, start=(sol.x, sol.s, sol.y, rho))
 
     def test_restart_from_the_optimum_stops_at_the_first_check(self):
         tol = 1e-5
-        for prob, opt, box in _certificate_corpus():
-            full = solve_conic(prob, tol=tol, box=box)
+        for prob, opt in _corpus():
+            full = solve_conic(prob, tol=tol)
             assert full.status == "optimal" and full.rho > 0
-            again = solve_conic(prob, tol=tol, box=box,
+            again = solve_conic(prob, tol=tol,
                                 start=(full.x, full.s, full.y, full.rho))
             assert again.status == "optimal"
             assert again.iterations == 1
@@ -471,13 +504,14 @@ class TestWarmStart:
     def test_cold_start_is_the_zero_start(self):
         data = experiments.generate_instance(3, 1, 3, 2.0, 0)
         inst = ProblemInstance(data.D, 1, 3, 1.0, 1.0)
-        cases = [(prob, b) for prob, _, box in _certificate_corpus()
-                 for b in (None, box)]
-        cases.append((build_perspective_relaxation(inst).problem, None))
-        for prob, box in cases:
+        model = build_perspective_relaxation(inst)
+        cases = [(prob, certify) for prob, _ in _corpus()
+                 for certify in (None, lambda x, c=prob.c: float(c @ x))]
+        cases.append((model.problem, model.certify))
+        for prob, certify in cases:
             m, n = prob.A.shape
-            cold = solve_conic(prob, box=box)
-            zero = solve_conic(prob, box=box, start=(
+            cold = solve_conic(prob, certify=certify)
+            zero = solve_conic(prob, certify=certify, start=(
                 np.zeros(n), np.zeros(m), np.zeros(m), 1.0))
             for name in ("x", "s", "y", "objective", "certified_bound",
                          "rho"):
@@ -487,12 +521,12 @@ class TestWarmStart:
             assert cold.status == zero.status
 
     def test_certificate_does_not_depend_on_the_start(self):
+        prob, certify, opt = _ridge_case()
+        m, n = prob.A.shape
         rng = np.random.default_rng(3)
-        for prob, opt, box in _certificate_corpus():
-            m, n = prob.A.shape
-            start = (10 * rng.standard_normal(n), rng.standard_normal(m),
-                     10 * rng.standard_normal(m), 0.01)
-            for max_iters in (1, 25, 200, 50000):
-                sol = solve_conic(prob, box=box, max_iters=max_iters,
-                                  start=start)
-                assert sol.certified_bound <= opt
+        start = (10 * rng.standard_normal(n), rng.standard_normal(m),
+                 10 * rng.standard_normal(m), 0.01)
+        for max_iters in (1, 25, 200, 50000):
+            sol = solve_conic(prob, certify=certify, max_iters=max_iters,
+                              start=start)
+            assert sol.certified_bound <= opt

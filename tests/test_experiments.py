@@ -11,7 +11,7 @@ from splr.altmin import alternating_minimization
 from splr.core import ProblemInstance
 from splr.experiments import (CSV_HEADER, am_cv_fit, compute_metrics,
                               cross_validate, generate_instance, plot_results,
-                              run_experiment)
+                              run_experiment, _run_method)
 
 
 class TestGenerateInstance:
@@ -148,6 +148,14 @@ class TestAmCvFit:
         ref, _ = alternating_minimization(
             ProblemInstance(D, 6, 7, 0.5, 0.25), eps=1e-3)
         np.testing.assert_array_equal(X, ref.X)
+
+    def test_cv_am_recovers_l_on_seed_20(self):
+        # criterion 9's instance at seed 20: CV'd AM reads l_error 0.0156.
+        # Warm-starting each CV fit from the previous grid point's (X, Y)
+        # in the same fold read 0.147 here, outside criterion 9's range
+        inst = generate_instance(60, 9, 540, 10, 20)
+        sol, _ = _run_method("am", inst, 0.001, {"cv": True})
+        assert 0.005 <= compute_metrics(sol, inst).l_error <= 0.06
 
 
 class TestComputeMetrics:

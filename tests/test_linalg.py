@@ -315,6 +315,21 @@ class TestStacks:
         with pytest.raises(ValueError):
             linalg.randomized_svd(A, min(m, n) + 1)
 
+    def test_randomized_svd_rejects_a_bad_start(self):
+        # an all-NaN start ended in LinAlgError, and a start of the wrong
+        # shape in numpy's concatenate error
+        A = _rng(23).standard_normal((6, 6))
+        for start in (np.full((6, 1), np.nan), np.ones(6), np.ones((5, 1)),
+                      np.ones((2, 6, 1)), np.full((6, 2), np.inf)):
+            with pytest.raises(ValueError, match="start"):
+                linalg.randomized_svd(A, 2, start=start)
+        stack = np.stack([A, A])
+        for start in (np.ones((6, 1)), np.ones((3, 6, 1))):
+            with pytest.raises(ValueError, match="start"):
+                linalg.randomized_svd(stack, 2, start=start)
+        for start in (np.ones((6, 1)), np.ones((6, 0))):
+            linalg.randomized_svd(A, 2, start=start)
+
     def test_top_k(self):
         # integer entries make ties real; a (B, 1, m) stack of rows is how
         # the sparse step passes a pattern's free cells

@@ -5,9 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from splr.altmin import SparsityPattern, alternating_minimization, \
-    multistart_alternating_minimization
+from splr.altmin import SparsityPattern, _multistart, \
+    alternating_minimization, multistart_alternating_minimization
 from splr.core import ProblemInstance, reverse_huber_penalty, \
     unconstrained_min_value
 from splr.bnb import exhaustive_oracle
@@ -271,15 +272,39 @@ def _random_pattern(rng, n, k1):
                            frozenset(picked[:n1]))
 
 
+def _consistent_best(inst, pattern):
+    """The least AM value over the size-k1 supports that hold I1 and miss
+    I0 (exhaustive_oracle's stacked enumeration, restricted to the
+    pattern), with its solution: every relaxation of the pattern, and so
+    every certificate of it, is at most this value."""
+    n, k1 = inst.n, inst.k1
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    supports = [s for s in combinations(cells, k1)
+                if pattern.I1 <= set(s) and not pattern.I0 & set(s)]
+    keep = np.zeros((len(supports), n, n), dtype=bool)
+    for c, support in enumerate(supports):
+        keep[c][tuple(np.array(support, dtype=int).reshape(-1, 2).T)] = True
+    sol, _ = _multistart(inst, 2, 1e-8, keep=keep)
+    return sol
+
+
+def _bound_at(model, D, W):
+    """The model's certificate at an x whose W = 2(D - X - Y) is the
+    given unit-scale W, in the caller's units."""
+    x = np.zeros(model.problem.A.shape[1])
+    x[model.X] = D / model.scale - W / 2
+    return (model.certify(x) + model.constant) * model.scale ** 2
+
+
 class TestCertifiedBound:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_never_above_the_pattern_optimum(self, seed):
         # criterion-4 instances where c'x of an ADMM iterate stopped at 50
         # iterations, less tol*(1+|c'x|), exceeds the AM upper bound
-        # (61.2418 vs 61.226 and 9272.67 vs 9268.3)
+        # (61.2418 vs 61.226 and 9272.67 vs 9268.3); the certificate holds
+        # at every truncation
         inst = ProblemInstance(generate_instance(4, 1, 2, 10, seed).D,
                                1, 2, 1.0, 1.0)
-        ub = alternating_minimization(inst, eps=1e-6)[0].objective
         values = _support_values(inst)
         rng = np.random.default_rng(seed)
         patterns = [SparsityPattern(4)] + [_random_pattern(rng, 4, 2)
@@ -288,14 +313,14 @@ class TestCertifiedBound:
             best = min(v for keep, v in values.items()
                        if pattern.I1 <= keep and not pattern.I0 & keep)
             model = build_perspective_relaxation(inst, pattern)
-            for max_iters in (25, 50, 200):
-                res = model.solve(max_iters=max_iters, upper_bound=ub)
-                assert min(ub, res.certified_bound) <= best
-            res = model.solve(upper_bound=ub)
+            for max_iters in (1, 25, 50, 200):
+                res = model.solve(max_iters=max_iters)
+                assert res.certified_bound <= best
+            res = model.solve()
             assert res.solver_status == "optimal"
-            assert min(ub, res.certified_bound) <= best
-            assert abs(min(ub, res.certified_bound)
-                       - min(ub, res.lower_bound)) <= 1e-3 * res.lower_bound
+            assert res.certified_bound <= best
+            assert abs(res.certified_bound - res.lower_bound) \
+                <= 1e-3 * res.lower_bound
 
     def test_lowrank_path_below_spectral_closed_form(self):
         rng = np.random.default_rng(11)
@@ -307,66 +332,104 @@ class TestCertifiedBound:
             phi = np.linalg.svd(D, compute_uv=False)
             ref = lam / (1 + lam) * np.sum(phi[:k0] ** 2) \
                 + np.sum(phi[k0:] ** 2)
-            inst = ProblemInstance(D, k0, 0, lam, 1.0)
-            ub = alternating_minimization(inst, eps=1e-8)[0].objective
-            model = build_perspective_relaxation(inst)
-            for max_iters in (25, 50, 200):
-                res = model.solve(max_iters=max_iters, upper_bound=ub)
-                assert res.certified_bound <= ref
-            res = model.solve(upper_bound=ub)
-            assert res.solver_status == "optimal"
-            assert ref - 1e-3 * ref <= res.certified_bound <= ref
+            model = build_perspective_relaxation(
+                ProblemInstance(D, k0, 0, lam, 1.0))
+            for max_iters in (1, 25, 50000):
+                res = model.solve(max_iters=max_iters)
+                assert ref - 1e-12 * ref <= res.certified_bound <= ref
 
-    def test_strengthened_and_penalized_share_the_box(self):
+    def test_strengthened_and_penalized_certificates(self):
         # the penalized objective of a feasible point exceeds the plain one
         # by at most rho1*k0 + rho2*k1
         rng = np.random.default_rng(12)
         for D in (rng.standard_normal((3, 3)), np.diag([2.0, -1.0, 0.5])):
             inst = ProblemInstance(D, 1, 1, 1.0, 1.0)
             best = min(_support_values(inst).values())
-            ub = alternating_minimization(inst, eps=1e-6)[0].objective
             for model, extra in (
                     (build_strengthened_relaxation(inst), 0.0),
                     (build_perspective_relaxation(inst, rho1=0.3, rho2=0.2),
                      0.3 * inst.k0 + 0.2 * inst.k1)):
-                for max_iters in (25, 200, 50000):
-                    res = model.solve(max_iters=max_iters,
-                                      upper_bound=ub + extra)
+                for max_iters in (1, 25, 200, 50000):
+                    res = model.solve(max_iters=max_iters)
                     assert np.isfinite(res.certified_bound)
-                    assert min(ub + extra, res.certified_bound) \
-                        <= best + extra
+                    assert res.certified_bound <= best + extra
+                assert res.certified_bound == pytest.approx(
+                    res.lower_bound, rel=1e-3)
 
-    def test_box_holds_the_relaxed_optimum(self):
-        # D = 2 e_0 e_1': in the low-rank model the optimum X = D/(1+lam),
-        # Theta = XX' lies on the box's faces
-        D = np.zeros((3, 3))
-        D[0, 1] = 2.0
-        for k1 in (0, 1, 2):
-            inst = ProblemInstance(D, 1, k1, 1.0, 1.0)
-            ub = alternating_minimization(inst, eps=1e-10)[0].objective
-            model = build_perspective_relaxation(inst)
-            x = solve_conic(model.problem, tol=1e-8).x
-            lo, hi = model.box(ub / model.scale ** 2 - model.constant)
-            slack = 1e-5 * (1 + np.abs(x))
-            assert np.all(lo - slack <= x) and np.all(x <= hi + slack)
+    @pytest.mark.parametrize("case", [
+        "budgets", "penalties", "pattern", "full keep", "penalized pattern",
+        "strengthened", "low rank", "low rank strengthened"])
+    def test_agrees_with_the_conic_value(self, case):
+        # at a converged solve d(W) at the final iterate is the relaxation's
+        # optimum: the dual is exact
+        k1 = 0 if "low rank" in case else 3
+        data = generate_instance(5, 2, 3, 3.0, 4)
+        inst = ProblemInstance(data.D, 2, k1, 0.5, 0.7)
+        cells = [(0, 1), (2, 2), (4, 0), (1, 3), (3, 3)]
+        pattern = {"pattern": SparsityPattern(5, cells[:2], cells[2:3]),
+                   "full keep": SparsityPattern(5, cells[:2], cells[2:]),
+                   "penalized pattern": SparsityPattern(5, cells[:2],
+                                                        cells[2:4])}.get(case)
+        rho = (0.3, 0.4) if "penalized" in case or case == "penalties" \
+            else (None, None)
+        if "strengthened" in case:
+            model = build_strengthened_relaxation(inst)
+        else:
+            model = build_perspective_relaxation(inst, pattern, *rho)
+        res = model.solve(tol=1e-9)
+        assert res.solver_status == "optimal"
+        assert res.certified_bound == pytest.approx(res.lower_bound,
+                                                    rel=1e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.sampled_from([3, 4]),
+           k1=st.integers(0, 3), n_keep=st.integers(0, 3),
+           n_zero=st.integers(0, 4), penalized=st.booleans(),
+           a=st.floats(0.0, 1.5), b=st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+    def test_never_above_the_oracle_at_any_w(self, seed, n, k1, n_keep,
+                                             n_zero, penalized, a, b):
+        # W mixes the AM residual of the pattern's best support, which
+        # certifies within a few percent, with Gaussian noise
+        rng = np.random.default_rng(seed)
+        lam, mu = rng.choice([0.3, 1.0], size=2)
+        inst = ProblemInstance(3 * rng.standard_normal((n, n)), 1, k1,
+                               lam, mu)
+        cells = [divmod(int(c), n) for c in rng.permutation(n * n)]
+        n_keep = min(n_keep, k1)
+        n_zero = min(n_zero, n * n - k1)
+        pattern = SparsityPattern(n, cells[n_keep:n_keep + n_zero],
+                                  cells[:n_keep])
+        if pattern.I0 or pattern.I1:
+            sol = _consistent_best(inst, pattern)
+        else:
+            sol, _ = exhaustive_oracle(inst, n_starts=2)
+        rho1, rho2 = (0.5 * rng.random(2) if penalized else (None, None))
+        extra = (rho1 * inst.k0 + rho2 * k1) if penalized else 0.0
+        model = build_perspective_relaxation(inst, pattern, rho1, rho2)
+        W = (a * 2 * (inst.D - sol.X - sol.Y) / model.scale
+             + b * rng.standard_normal((n, n)))
+        assert _bound_at(model, inst.D, W) <= sol.objective + extra
 
     def test_stop_target(self):
         inst = ProblemInstance(generate_instance(4, 1, 2, 10, 0).D,
                                1, 2, 1.0, 1.0)
         ub = alternating_minimization(inst, eps=1e-6)[0].objective
         model = build_perspective_relaxation(inst)
-        full = model.solve(upper_bound=ub)
-        res = model.solve(upper_bound=ub, stop_at=0.99 * ub)
+        full = model.solve()
+        res = model.solve(stop_at=0.99 * ub)
         assert res.solver_status == "bound-reached"
         assert 0.99 * ub * (1 - 1e-12) <= res.certified_bound
         assert res.certified_bound <= full.lower_bound
 
-    def test_no_certificate_without_a_box(self):
+    def test_only_lee_zou_lacks_a_certificate(self):
         inst = ProblemInstance(np.eye(2), 1, 1, 1.0, 1.0)
-        assert build_perspective_relaxation(inst).solve().certified_bound \
+        best = min(_support_values(inst).values())
+        res = build_perspective_relaxation(inst).solve()
+        assert np.isfinite(res.certified_bound)
+        assert res.certified_bound <= best
+        assert build_lee_zou_relaxation(inst).certify is None
+        assert build_lee_zou_relaxation(inst).solve().certified_bound \
             == -np.inf
-        res = build_lee_zou_relaxation(inst).solve(upper_bound=10.0)
-        assert res.certified_bound == -np.inf
 
     def test_rejects_negative_penalties(self):
         inst = ProblemInstance(np.eye(2), 1, 1, 1.0, 1.0)
