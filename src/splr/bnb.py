@@ -117,9 +117,9 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
     while True:
         while heap and heap[0][0] >= ub:
             heapq.heappop(heap)
-        lb_all = global_lb()
-        if lb_all >= ub or (ub > 0
-                            and bound_gap(ub, max(lb_all, 0.0)) <= eps):
+        # the objective is nonnegative, so 0 bounds it too
+        lb_all = max(global_lb(), 0.0)
+        if lb_all >= ub or (ub > 0 and bound_gap(ub, lb_all) <= eps):
             stop_reason = "gap"
             break
         if not heap:
@@ -162,8 +162,8 @@ def branch_and_bound(instance: ProblemInstance, eps: float = 0.05,
         history.append((nodes_explored, ub, global_lb(),
                         time.perf_counter() - t0))
 
-    lb_final = global_lb()
-    gap = bound_gap(ub, max(lb_final, 0.0)) if ub > 0 else 0.0
+    lb_final = max(global_lb(), 0.0)
+    gap = bound_gap(ub, lb_final) if ub > 0 else 0.0
     return BnbResult(incumbent=incumbent, lower_bound=lb_final,
                      upper_bound=ub, nodes_explored=nodes_explored,
                      gap=gap, bound_history=history, stop_reason=stop_reason,

@@ -166,7 +166,10 @@ def cross_validate(D, method, grid, folds=DEFAULT_CV_FOLDS, seed=0):
 def am_cv_fit(k0: int, k1: int, n: int, eps: float):
     """The cross_validate method that decomposes a training block by
     alternating minimization, with k0 clamped to the block size nt and k1
-    scaled by (nt/n)^2 from the full n x n problem."""
+    scaled by (nt/n)^2 from the full n x n problem. k0 and k1 must be
+    in range for that problem."""
+    ProblemInstance(np.zeros((n, n)), k0, k1, 1.0, 1.0)   # range checks
+
     def fit(D_train, lam, mu):
         nt = D_train.shape[0]
         k1t = min(nt * nt, int(round(k1 * (nt / n) ** 2)))

@@ -30,7 +30,10 @@ at any W, read at W = 2(D - X - Y); penalties rho in place of the budgets
 turn a top-k sum into a sum of max(0, term - rho). The strengthened
 relaxation is at least the perspective one, so d(W) bounds it too. The
 linearized low-rank model is certified by its value ||D||^2 -
-sum_{i<=k0} sigma_i(D)^2/(1+lam). The Lee-Zou model has no certificate.
+sum_{i<=k0} sigma_i(D)^2/(1+lam). The Lee-Zou model, whose budgets are
+||X||_* <= beta*k0 and ||Y||_1 <= gamma*k1, gets d(W) with the top-k sums
+replaced by phi_{lam, beta*k0}(sigma(W)) and phi_{mu, gamma*k1}(|W_ij|),
+where phi_{lam,r}(w) = max {<w, v> - lam*||v||^2 : v >= 0, sum(v) <= r}.
 
 Programs are built from integer id matrices: the builder hands out each
 matrix variable as an array of variable ids (a symmetric one numbers its
@@ -124,8 +127,8 @@ class RelaxationResult:
     X_relax: np.ndarray
     solver_status: str
     # the model's certificate at the final iterate: a lower bound on the
-    # relaxation's optimum whether or not the solve converged; -inf for a
-    # model without a certificate
+    # relaxation's optimum whether or not the solve converged; -inf where
+    # the iterate is not finite
     certified_bound: float
     # the final (x, s, y, rho) in model units: starts another pattern's solve
     iterate: tuple
@@ -139,8 +142,8 @@ class RelaxationModel:
 
     The program is built on D/scale (unit-magnitude data keeps the ADMM
     iterates well conditioned); bounds scale back by scale^2 and the
-    matrix variables by scale. certify, when the model has one, maps any
-    x to a lower bound on the optimal c'x (module docstring).
+    matrix variables by scale. certify maps any x to a lower bound on
+    the optimal c'x (module docstring).
 
     A model built with a pattern has one zero-cone row per cell of Z,
     pinned or free, so every pattern's program over one instance has the
@@ -150,10 +153,10 @@ class RelaxationModel:
     problem: ConicProblem
     constant: float
     X: np.ndarray
+    certify: Callable[[np.ndarray], float]
     P: np.ndarray = None
     Z: np.ndarray = None
     scale: float = 1.0
-    certify: Callable[[np.ndarray], float] | None = None
 
     def solve(self, tol: float = 1e-5, max_iters: int = 50000,
               stop_at: float | None = None,
@@ -242,10 +245,12 @@ def _bounds(instance, beta, gamma):
     of (D - Y)/(1+lam), and Y = (D - X)/(1+mu) on its support."""
     D, lam, mu = instance.D, instance.lam, instance.mu
     x_cap, y_cap = (math.sqrt(np.sum(D * D) / w) for w in (lam, mu))
+    # D = 0 has the one optimum X = Y = 0, which any positive value bounds
     if beta is None:
-        beta = min((float(np.linalg.norm(D, 2)) + y_cap) / (1 + lam), x_cap)
+        beta = min((float(np.linalg.norm(D, 2)) + y_cap) / (1 + lam),
+                   x_cap) or 1.0
     if gamma is None:
-        gamma = min((float(np.abs(D).max()) + beta) / (1 + mu), y_cap)
+        gamma = min((float(np.abs(D).max()) + beta) / (1 + mu), y_cap) or 1.0
     check_finite(beta=beta, gamma=gamma)
     return beta, gamma
 
@@ -264,41 +269,65 @@ def _normalized(D):
     return D / tau, tau
 
 
-def _perspective_certificate(D, k0, k1, lam, mu, pattern, rho1, rho2, X, Y):
-    """The certificate of _build_perspective's program over unit-scale D
-    (module docstring): x -> d(W) at W = 2(D - X - Y), less a rounding
-    slack, as a bound on c'x; -inf where W is not finite. The singular
-    values come from a full SVD: partial ones fall short of sigma_i(W)
-    and would overstate the bound."""
+def _fenchel_certificate(D, X, Y, lam, conjugates):
+    """x -> d(W) at W = 2(D - X - Y) (module docstring), less a rounding
+    slack, as a bound on c'x; -inf where W is not finite. conjugates(sigma(W),
+    W) gives d(W)'s low-rank terms, which sum to at most n sigma_1^2/(4 lam),
+    and its sparse ones. A partial SVD would overstate d(W)."""
     n = len(D)
     slack = 32 * n * np.finfo(float).eps   # a few ulps per summed entry
-    if k1 == 0:
-        top = np.sum(np.linalg.svd(D, compute_uv=False)[:k0] ** 2)
-        bound = -top / (1 + lam) - slack * (float(np.sum(D * D)) + top)
-        return lambda x: bound
-    if pattern is None:
-        pattern = SparsityPattern(n)
-    keep, free = pattern.keep, ~(pattern.keep | pattern.zero)
-    # the free cells' count less the budget they share
-    skip = np.count_nonzero(free) - (k1 - len(pattern.I1))
 
     def certify(x):
         W = 2.0 * (D - x[X] - x[Y])
         if not np.isfinite(W).all():
             return -math.inf
-        sx = np.linalg.svd(W, compute_uv=False) ** 2 / (4 * lam)
+        sv = np.linalg.svd(W, compute_uv=False)
+        x_terms, y_terms = conjugates(sv, W)
+        fit, quad = D * W, np.sum(W * W) / 4
+        size = (np.abs(fit).sum() + quad + n * (sv[0] * sv[0] / (4 * lam))
+                + np.abs(y_terms).sum())
+        return float(fit.sum() - quad - x_terms.sum() - y_terms.sum()
+                     - slack * size)
+
+    return certify
+
+
+def _perspective_certificate(D, k0, k1, lam, mu, pattern, rho1, rho2, X, Y):
+    """The certificate of _build_perspective's program over unit-scale D:
+    d(W) with the top-k sums, or the linearized low-rank model's value."""
+    if k1 == 0:
+        top = np.sum(np.linalg.svd(D, compute_uv=False)[:k0] ** 2)
+        slack = 32 * len(D) * np.finfo(float).eps
+        bound = -top / (1 + lam) - slack * (float(np.sum(D * D)) + top)
+        return lambda x: bound
+    if pattern is None:
+        pattern = SparsityPattern(len(D))
+    keep, free = pattern.keep, ~(pattern.keep | pattern.zero)
+    # the free cells' count less the budget they share
+    skip = np.count_nonzero(free) - (k1 - len(pattern.I1))
+
+    def conjugates(sv, W):
+        sx = sv ** 2 / (4 * lam)
         sy = W * W / (4 * mu)
         x_terms = sx[:k0] if rho1 is None else np.maximum(sx - rho1, 0.0)
         if rho2 is None:
             y_terms = np.r_[sy[keep], np.sort(sy[free])[skip:]]
         else:
             y_terms = np.r_[sy[keep] - rho2, np.maximum(sy[free] - rho2, 0.0)]
-        fit, quad = D * W, np.sum(W * W) / 4
-        size = np.abs(fit).sum() + quad + n * sx[0] + np.abs(y_terms).sum()
-        return float(fit.sum() - quad - x_terms.sum() - y_terms.sum()
-                     - slack * size)
+        return x_terms, y_terms
 
-    return certify
+    return _fenchel_certificate(D, X, Y, lam, conjugates)
+
+
+def _capped_ridge_terms(w, lam, r):
+    """Terms summing to phi_{lam,r}(w) >= 0 of the module docstring: nu*r
+    and (w - nu)_+^2/(4 lam), nu >= 0 the least level where the maximizer
+    (w - nu)_+/(2 lam) meets the cap r: the largest mean excess over 2 lam r
+    of a prefix of w sorted down. Any nu >= 0 gives at least phi."""
+    w = np.sort(np.ravel(w))[::-1]
+    nu = max(np.max((np.cumsum(w) - 2 * lam * r)
+                    / np.arange(1, w.size + 1)), 0.0)
+    return np.r_[nu * r, np.maximum(w - nu, 0.0) ** 2 / (4 * lam)]
 
 
 def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
@@ -432,8 +461,11 @@ def build_lee_zou_relaxation(instance: ProblemInstance,
                  *_abs_box_terms(V, Y, 1.0), (2 * n2, V, -1.0 / gamma),
                  (2 * n2 + 1, np.r_[np.diag(W1), np.diag(W2)], -0.5 / beta))
     _add_psd_block(bld, W1, X, W2)
-    return RelaxationModel(problem=bld.build(), constant=0.0, X=X,
-                           scale=tau)
+    return RelaxationModel(
+        problem=bld.build(), constant=0.0, X=X, scale=tau,
+        certify=_fenchel_certificate(D, X, Y, instance.lam, lambda sv, W: (
+            _capped_ridge_terms(sv, instance.lam, beta * instance.k0),
+            _capped_ridge_terms(np.abs(W), instance.mu, gamma * instance.k1))))
 
 
 def solve_lowrank_sdp(Dbar, k0: int, lam: float, tol: float = 1e-5):

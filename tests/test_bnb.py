@@ -218,6 +218,15 @@ class TestBranchAndBound:
         assert res.fathomed == 1
         assert not res.truncated
 
+    def test_zero_matrix_stops_at_the_root(self):
+        # AM's 0 is optimal, but each certificate is a few ulps below 0,
+        # so no node was fathomed: 71 nodes, ending 'exhausted'
+        res = branch_and_bound(ProblemInstance(np.zeros((3, 3)), 1, 2,
+                                               0.1, 0.1))
+        assert res.stop_reason == "gap"
+        assert res.nodes_explored == 0
+        assert res.lower_bound == res.upper_bound == res.gap == 0.0
+
     def test_certified_bounds_on_criterion_4(self):
         # runs ended by the gap test are within eps; lam=mu=0.5, sigma=1,
         # seed 0 empties its queue at gap 0.041, held open by a settled

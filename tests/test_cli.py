@@ -114,9 +114,8 @@ class TestBound:
 
     def test_witness_lee_zou(self, tmp_path, capsys):
         mat = _witness_file(tmp_path)
-        assert main(["bound", mat, "--k0", "1", "--k1", "0",
-                     "--lam", "1.0", "--mu", "1.0", "--variant", "leezou",
-                     "--beta", "2.0", "--gamma", "1.0"]) == 0
+        assert main(["bound", mat, "--k0", "1", "--k1", "0", "--lam", "1.0",
+                     "--mu", "1.0", "--variant", "leezou"]) == 0
         lb = float(capsys.readouterr().out.splitlines()[0].split()[-1])
         assert lb == pytest.approx(1.0, abs=0.02)
 
@@ -129,12 +128,11 @@ class TestBound:
         assert lines[-1] == "solver status optimal, bound certified"
         lb, ub = (float(line.split()[2]) for line in lines[:2])
         assert lb <= ub
-        assert main(base + ["--variant", "leezou", "--beta", "2.0",
-                            "--gamma", "1.0"]) == 0
+        assert main(base + ["--variant", "leezou"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
-        assert last == "solver status optimal, bound not certified"
+        assert last == "solver status optimal, bound certified"
 
-    @pytest.mark.parametrize("variant", ["strengthened", "leezou"])
+    @pytest.mark.parametrize("variant", ["leezou"])
     def test_default_bounds_stay_below_the_upper_bound(self, tmp_path,
                                                        capsys, variant):
         # AM finds the optimum 0.0764 here; ||D||_2 and max |D_ij| as beta
@@ -147,24 +145,28 @@ class TestBound:
         assert ub == pytest.approx(0.076418, rel=1e-4)
         assert lb < ub
 
-    @pytest.mark.parametrize("variant,flag,value", [
-        ("leezou", "--gamma", "inf"), ("strengthened", "--beta", "nan")])
-    def test_bad_beta_gamma_exit_2(self, tmp_path, capsys, variant, flag,
-                                   value):
-        # --gamma inf made -1/gamma = -0.0, so the k1 budget row was
-        # dropped and the command exited 0
-        mat = _witness_file(tmp_path)
-        assert main(["bound", mat, "--k0", "1", "--k1", "1", "--variant",
-                     variant, flag, value]) == 2
-        err = capsys.readouterr().err
-        assert f"{flag[2:]} must be finite and positive" in err
+    @pytest.mark.parametrize("variant", ["perspective", "leezou"])
+    def test_zero_matrix(self, tmp_path, capsys, variant):
+        # the derived beta and gamma were 0 here, which the Lee-Zou
+        # builder rejected
+        mat = _write_matrix(tmp_path / "z.csv", np.zeros((3, 3)))
+        assert main(["bound", mat, "--k0", "1", "--k1", "2",
+                     "--variant", variant]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        lb, ub = (float(line.split()[2]) for line in lines[:2])
+        assert lb <= 0.0 <= ub
+        assert lines[-1].endswith(", bound certified")
 
     def test_unknown_variant_usage_error(self, tmp_path):
+        # strengthened, --beta and --gamma were removed: the strengthened
+        # bound is never above the perspective one, and a given beta or
+        # gamma could only weaken a bound or make it invalid
         mat = _witness_file(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["bound", mat, "--k0", "1", "--k1", "0",
-                  "--variant", "magic"])
-        assert exc.value.code == 2
+        for extra in (["--variant", "magic"], ["--variant", "strengthened"],
+                      ["--beta", "1"], ["--gamma", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["bound", mat, "--k0", "1", "--k1", "0"] + extra)
+            assert exc.value.code == 2
 
 
 class TestBnbCommand:
@@ -285,6 +287,18 @@ class TestCv:
         assert args.folds == experiments.DEFAULT_CV_FOLDS
         assert (experiments.cv_grid(args.grid.split(","))
                 == experiments.cv_grid(experiments.DEFAULT_CV_GRID))
+
+    @pytest.mark.parametrize("k0,k1,message", [
+        ("5", "4", "k0=5 out of range [1, 4]"),
+        ("1", "100", "k1=100 out of range [0, 16]")])
+    def test_budget_out_of_range_exit_2(self, tmp_path, capsys, k0, k1,
+                                        message):
+        # the fits clamped k0 to the block size and k1 to its cells, so
+        # the command printed a table and exited 0
+        mat = _write_matrix(tmp_path / "d.csv", np.eye(4))
+        assert main(["cv", mat, "--k0", k0, "--k1", k1, "--grid", "0.5",
+                     "--folds", "2"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_non_square_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

@@ -14,7 +14,8 @@ from splr.core import ProblemInstance, reverse_huber_penalty, \
 from splr.bnb import exhaustive_oracle
 from splr.conic import solve_conic
 from splr.experiments import generate_instance
-from splr.relaxations import (bound_gap, build_lee_zou_relaxation,
+from splr.relaxations import (_capped_ridge_terms, bound_gap,
+                              build_lee_zou_relaxation,
                               build_perspective_relaxation,
                               build_strengthened_relaxation,
                               solve_lowrank_sdp)
@@ -183,6 +184,43 @@ class TestLeeZou:
         explicit = build_lee_zou_relaxation(inst, beta, gamma)
         assert _program_digest(build_lee_zou_relaxation(inst)) == \
             _program_digest(explicit)
+
+
+def _capped_ridge_reference(w, lam, r):
+    """max <w, v> - lam*||v||^2 over v >= 0, sum(v) <= r, by enumerating
+    the KKT points: on each support, the unconstrained ridge maximizer
+    and the one shifted down to meet the cap."""
+    best = 0.0
+    for size in range(1, len(w) + 1):
+        for support in combinations(range(len(w)), size):
+            ws = w[list(support)]
+            for nu in (0.0, (ws.sum() - 2 * lam * r) / size):
+                v = (ws - nu) / (2 * lam)
+                if nu >= 0 and (v >= 0).all() and v.sum() <= r * (1 + 1e-12):
+                    best = max(best, ws @ v - lam * v @ v)
+    return best
+
+
+class TestCappedRidgeConjugate:
+    @pytest.mark.parametrize("w,lam,r", [
+        ([3.0, 1.0, 0.5], 0.5, 0.0),          # no budget
+        ([3.0, 1.0, 0.5], 0.5, 100.0),        # a cap that does not bind
+        ([2.0, 2.0, 2.0, 1.0], 0.3, 1.5),     # ties at the level
+        ([2.0, 2.0, 0.0, 0.0], 1.0, 0.5),
+        ([1.7], 0.2, 0.4),                    # a single entry
+        ([0.0, 0.0], 0.7, 1.0)])
+    def test_matches_the_brute_force_maximum(self, w, lam, r):
+        w = np.array(w)
+        assert _capped_ridge_terms(w, lam, r).sum() == pytest.approx(
+            _capped_ridge_reference(w, lam, r), rel=1e-12, abs=1e-15)
+
+    def test_random(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            w = np.abs(rng.standard_normal(int(rng.integers(1, 7))))
+            lam, r = rng.uniform(0.05, 2.0), rng.uniform(0.0, 3.0)
+            assert _capped_ridge_terms(w, lam, r).sum() == pytest.approx(
+                _capped_ridge_reference(w, lam, r), rel=1e-12, abs=1e-15)
 
 
 class TestDefaultBounds:
@@ -358,7 +396,8 @@ class TestCertifiedBound:
 
     @pytest.mark.parametrize("case", [
         "budgets", "penalties", "pattern", "full keep", "penalized pattern",
-        "strengthened", "low rank", "low rank strengthened"])
+        "strengthened", "low rank", "low rank strengthened", "lee zou",
+        "lee zou low rank", "lee zou binding"])
     def test_agrees_with_the_conic_value(self, case):
         # at a converged solve d(W) at the final iterate is the relaxation's
         # optimum: the dual is exact
@@ -374,6 +413,10 @@ class TestCertifiedBound:
             else (None, None)
         if "strengthened" in case:
             model = build_strengthened_relaxation(inst)
+        elif "lee zou" in case:
+            # beta and gamma small enough that both norm budgets bind
+            model = build_lee_zou_relaxation(
+                inst, *((1.0, 0.5) if "binding" in case else (None, None)))
         else:
             model = build_perspective_relaxation(inst, pattern, *rho)
         res = model.solve(tol=1e-9)
@@ -385,11 +428,17 @@ class TestCertifiedBound:
     @given(seed=st.integers(0, 2 ** 16), n=st.sampled_from([3, 4]),
            k1=st.integers(0, 3), n_keep=st.integers(0, 3),
            n_zero=st.integers(0, 4), penalized=st.booleans(),
-           a=st.floats(0.0, 1.5), b=st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+           a=st.floats(0.0, 1.5), b=st.sampled_from([0.0, 0.01, 0.3, 3.0]),
+           lee_zou=st.booleans())
     def test_never_above_the_oracle_at_any_w(self, seed, n, k1, n_keep,
-                                             n_zero, penalized, a, b):
+                                             n_zero, penalized, a, b,
+                                             lee_zou):
         # W mixes the AM residual of the pattern's best support, which
-        # certifies within a few percent, with Gaussian noise
+        # certifies within a few percent, with Gaussian noise; the Lee-Zou
+        # model, with its default beta and gamma, takes no pattern
+        if lee_zou:
+            n_keep = n_zero = 0
+            penalized = False
         rng = np.random.default_rng(seed)
         lam, mu = rng.choice([0.3, 1.0], size=2)
         inst = ProblemInstance(3 * rng.standard_normal((n, n)), 1, k1,
@@ -405,7 +454,8 @@ class TestCertifiedBound:
             sol, _ = exhaustive_oracle(inst, n_starts=2)
         rho1, rho2 = (0.5 * rng.random(2) if penalized else (None, None))
         extra = (rho1 * inst.k0 + rho2 * k1) if penalized else 0.0
-        model = build_perspective_relaxation(inst, pattern, rho1, rho2)
+        model = (build_lee_zou_relaxation(inst) if lee_zou else
+                 build_perspective_relaxation(inst, pattern, rho1, rho2))
         W = (a * 2 * (inst.D - sol.X - sol.Y) / model.scale
              + b * rng.standard_normal((n, n)))
         assert _bound_at(model, inst.D, W) <= sol.objective + extra
@@ -421,15 +471,15 @@ class TestCertifiedBound:
         assert 0.99 * ub * (1 - 1e-12) <= res.certified_bound
         assert res.certified_bound <= full.lower_bound
 
-    def test_only_lee_zou_lacks_a_certificate(self):
+    def test_every_model_certifies(self):
         inst = ProblemInstance(np.eye(2), 1, 1, 1.0, 1.0)
         best = min(_support_values(inst).values())
-        res = build_perspective_relaxation(inst).solve()
-        assert np.isfinite(res.certified_bound)
-        assert res.certified_bound <= best
-        assert build_lee_zou_relaxation(inst).certify is None
-        assert build_lee_zou_relaxation(inst).solve().certified_bound \
-            == -np.inf
+        for build in (build_perspective_relaxation,
+                      build_strengthened_relaxation,
+                      build_lee_zou_relaxation):
+            res = build(inst).solve()
+            assert np.isfinite(res.certified_bound)
+            assert res.certified_bound <= best
 
     def test_rejects_negative_penalties(self):
         inst = ProblemInstance(np.eye(2), 1, 1, 1.0, 1.0)
