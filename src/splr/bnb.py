@@ -16,11 +16,13 @@ the search deterministic. A queued node whose inherited bound is no longer
 below the incumbent value is stale and is dropped when popped, so an
 improved incumbent never filters the queue.
 
-Every node's program has the same rows: one zero-cone row per entry of
-Z, empty unless the pattern pins that entry. A child's program is its
-parent's with the branched entry's row filled in, so each child's ADMM
-solve starts from its parent's final iterate as it is; the root starts
-cold, and so does a child whose parent ended with non-finite iterates.
+Every node's program over one instance has the same rows, A and c: a
+pattern moves each pinned entry's Z_ij <= 1 row to the zero cone, with
+constant 0 on I0. A child's program is its parent's with the branched
+entry's row moved, so each child's ADMM solve starts from its parent's
+final iterate as it is, and the node solves share one factorization
+(splr.conic); the root starts cold, and so does a child whose parent
+ended with non-finite iterates.
 The certificate holds at any iterate, so the start changes how soon a
 node's bound is reached, never whether it is valid.
 """

@@ -8,7 +8,7 @@ Standard form:
 where K is a product of zero, nonnegative, rotated second-order, and
 positive-semidefinite cones (PSD blocks stored as full side*side row-major
 vectors). Solved by two-block ADMM: alternate a projection onto the affine
-constraint (one sparse LU of AA' + I, cached for the whole solve) with a
+constraint (one sparse LU of AA' + I, kept while A stays the same) with a
 projection onto K, carrying a scaled dual. Deterministic.
 
 The solve checks its iterate after the first iteration, every 25th and
@@ -18,16 +18,19 @@ a lower bound on c'x at the current x (below). The check after iteration
 1 lets a start that is already converged, or whose bound already reaches
 its target, end there.
 
-Setup sorts the rows of K once per solve so that each cone group is one
-contiguous slice: the zero rows, the nonneg rows, the first and then the
-second row of every rotated SOC, the remaining rotated-SOC rows, and the
-PSD blocks grouped by side. A projection onto K is then a fill, a
-``np.maximum``, one vectorized rotated-SOC formula for the cones of every
-size and one stacked LAPACK eigendecomposition per PSD side. The solve
-permutes A and b once and returns s and y in the problem's row order.
-Setup also Ruiz-equilibrates the data, scaling a copy of ``A.data`` in
-place on each pass, with uniform row scaling inside each rsoc/psd block
-(so cone membership is preserved).
+Setup sorts the rows of K so that each cone group is one contiguous
+slice: the linear rows (zero and nonneg, in the problem's order), the
+first and then the second row of every rotated SOC, the remaining
+rotated-SOC rows, and the PSD blocks grouped by side. A projection onto K
+is then one ``np.maximum`` with the zero rows set to 0, one vectorized
+rotated-SOC formula for the cones of every size and one stacked LAPACK
+eigendecomposition per PSD side. The solve permutes A and b and returns s
+and y in the problem's row order. Setup also Ruiz-equilibrates A, scaling
+a copy of ``A.data`` in place on each pass, with uniform row scaling
+inside each rsoc/psd block (so cone membership is preserved), and factors
+AA' + I. None of that depends on b, c or on which linear rows are zero
+rows, so a solve reuses the last solve's setup when its A and its
+rsoc/psd structure are the same (see solve_conic).
 
 A certificate is the caller's map from an iterate x to a lower bound on
 the optimal c'x that holds at any x, converged or not (the relaxations
@@ -44,7 +47,9 @@ without a start takes the same path from zero with rho = 1.
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -125,7 +130,9 @@ class ConicSolution:
     objective_gap: float
     objective: float
     iterations: int
-    setup_s: float  # row sorting, Ruiz scaling and the factorization
+    # row sorting, Ruiz scaling and the factorization, or the check that
+    # the last solve's setup serves and the scaling of b and c
+    setup_s: float
     solve_s: float  # the ADMM iterations
     # the certificate at the returned x: a lower bound on the optimal
     # c'x; -inf without a certificate
@@ -133,49 +140,84 @@ class ConicSolution:
     rho: float  # the final ADMM step parameter, for a warm start
 
 
+def _structure(cones):
+    """The cones as (kind, dim) pairs with each run of consecutive zero
+    and nonneg cones merged into one ("linear", dim): all that a layout
+    but its zero rows depends on."""
+    key = []
+    for co in cones:
+        if co.kind not in ("zero", "nonneg"):
+            key.append((co.kind, co.dim))
+        elif key and key[-1][0] == "linear":
+            key[-1] = ("linear", key[-1][1] + co.dim)
+        else:
+            key.append(("linear", co.dim))
+    return tuple(key)
+
+
 class _ConeLayout:
     """One row order that makes each cone group of a product contiguous.
 
-    order lists the problem's rows sorted as: the zero rows, the nonneg
-    rows, the first row of every rotated SOC, the second row of every
-    rotated SOC, the remaining rotated-SOC rows cone by cone, and the PSD
-    blocks grouped by side (ties keep the problem's order, so for a single
-    cone order is the identity). In that sorted order zero, nonneg and
-    rsoc are slices; rsoc_count is the number of rotated SOCs and owner
-    gives each of their remaining rows its cone's rank among them; psd
-    lists (side, slice) per PSD side. block and uniform give each sorted
-    row its cone index and whether the Ruiz scaling must be uniform over
-    that cone; block_sizes gives each cone's row count. Each Cone checks
-    its kind and dim when it is made.
+    order lists the problem's rows sorted as: the linear rows (zero and
+    nonneg, in the problem's order), the first row of every rotated SOC,
+    the second row of every rotated SOC, the remaining rotated-SOC rows
+    cone by cone, and the PSD blocks grouped by side (ties keep the
+    problem's order, so for a single cone order is the identity). In that
+    sorted order linear and rsoc are slices, linear the leading one, and
+    zero lists the sorted positions of the zero rows; rsoc_count is the
+    number of rotated SOCs and owner gives each of their remaining rows
+    its cone's rank among them; psd lists (side, slice) per PSD side.
+    block and uniform give each sorted row its block of _structure(cones)
+    and whether the Ruiz scaling must be uniform over that block;
+    block_sizes gives each block's row count. Each Cone checks its kind
+    and dim when it is made.
+
+    Everything but zero depends on _structure(cones) alone, so a product
+    that differs only in which linear rows are zero rows takes the same
+    layout through pin.
     """
 
     def __init__(self, cones):
-        dims = np.array([co.dim for co in cones], dtype=int)
-        kinds = np.array([_KINDS.index(co.kind) for co in cones], dtype=int)
-        sides = np.where(kinds == 3, np.round(np.sqrt(dims)), 0).astype(int)
+        structure = _structure(cones)
+        dims = np.array([dim for _, dim in structure], dtype=int)
+        kinds = np.array([("linear", "rsoc", "psd").index(kind)
+                          for kind, _ in structure], dtype=int)
+        sides = np.where(kinds == 2, np.round(np.sqrt(dims)), 0).astype(int)
         row_kind = np.repeat(kinds, dims)
         pos = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
-        # group keys 0..5: zero, nonneg, rsoc first/second/other rows, psd
-        group = np.where(row_kind == 2, 2 + np.minimum(pos, 2),
-                         np.where(row_kind == 3, 5, row_kind))
+        # group keys 0..4: linear, rsoc first/second/other rows, psd
+        group = np.where(row_kind == 1, 1 + np.minimum(pos, 2),
+                         np.where(row_kind == 2, 4, 0))
         self.order = np.lexsort((np.repeat(sides, dims), group))
-        self.block = np.repeat(np.arange(len(cones)), dims)[self.order]
-        self.uniform = (row_kind >= 2)[self.order]
+        self.block = np.repeat(np.arange(len(structure)), dims)[self.order]
+        self.uniform = (row_kind >= 1)[self.order]
         self.block_sizes = dims
 
-        ends = np.cumsum(np.bincount(group, minlength=6))
-        self.zero = slice(0, ends[0])
-        self.nonneg = slice(ends[0], ends[1])
-        self.rsoc = slice(ends[1], ends[4])
-        rsoc_dims = dims[kinds == 2]
+        ends = np.cumsum(np.bincount(group, minlength=5))
+        self.linear = slice(0, ends[0])
+        self.rsoc = slice(ends[0], ends[3])
+        rsoc_dims = dims[kinds == 1]
         self.rsoc_count = rsoc_dims.size
         self.owner = np.repeat(np.arange(rsoc_dims.size), rsoc_dims - 2)
         self.psd = []
-        start = ends[4]
-        for side in np.unique(sides[kinds == 3]):
+        start = ends[3]
+        for side in np.unique(sides[kinds == 2]):
             stop = start + side * side * np.count_nonzero(sides == side)
             self.psd.append((int(side), slice(start, stop)))
             start = stop
+        self.zero = self._zero_rows(cones)
+
+    def _zero_rows(self, cones):
+        is_zero = np.repeat([co.kind == "zero" for co in cones],
+                            [co.dim for co in cones])
+        return np.flatnonzero(is_zero[self.order[self.linear]])
+
+    def pin(self, cones):
+        """This layout with the zero rows of cones, whose _structure is
+        this layout's."""
+        out = copy.copy(self)
+        out.zero = out._zero_rows(cones)
+        return out
 
 
 _SQ2 = np.sqrt(2.0)
@@ -233,8 +275,8 @@ def _project(v, layout: _ConeLayout):
     """Euclidean projection onto the whole cone product of v, given in
     the layout's sorted row order."""
     out = np.empty_like(v)
+    np.maximum(v[layout.linear], 0.0, out=out[layout.linear])
     out[layout.zero] = 0.0
-    np.maximum(v[layout.nonneg], 0.0, out=out[layout.nonneg])
     if layout.rsoc_count:
         out[layout.rsoc] = _project_rsoc(v[layout.rsoc], layout.rsoc_count,
                                          layout.owner)
@@ -259,9 +301,10 @@ def _segment_max(counts):
     return segment_max
 
 
-def _ruiz_equilibrate(A, b, c, layout: _ConeLayout, passes: int = 10):
+def _ruiz_equilibrate(A, layout: _ConeLayout, passes: int = 10):
     """Diagonal scaling D A E with uniform row scaling inside each
-    rsoc/psd block (so cone membership is preserved)."""
+    rsoc/psd block (so cone membership is preserved): the scaled copy of A
+    and the diagonals d and e."""
     A = A.tocsr(copy=True)
     m, n = A.shape
     d = np.ones(m)
@@ -285,7 +328,39 @@ def _ruiz_equilibrate(A, b, c, layout: _ConeLayout, passes: int = 10):
         A.data *= s[A.indices]
         d *= r
         e *= s
-    return A, d * b, e * c, d, e
+    return A, d, e
+
+
+def _setup(problem: ConicProblem):
+    """What a solve of problem needs of A and the cones alone: the
+    layout, A and A' in sorted rows, the Ruiz-scaled A and A', the sparse
+    LU of AA' + I (scaled) and the Ruiz diagonals d and e."""
+    # scipy is imported where a cone program is built or solved, so the
+    # numpy-only commands (decompose, synth, cv, bench) never load it
+    import scipy.sparse
+    from scipy.sparse.linalg import splu
+
+    layout = _ConeLayout(problem.cones)
+    # the solve runs on the rows in sorted order; s and y are put back in
+    # the problem's order on return
+    A0 = problem.A[layout.order]
+    A, dscale, escale = _ruiz_equilibrate(A0, layout)
+    # sparse LU of the SPD matrix AA' + I, by SuperLU itself (`factorized`
+    # would switch to UMFPACK where installed). Minimum degree on its
+    # symmetric pattern gave the least fill of SuperLU's orderings on the
+    # relaxations: 13k L+U nonzeros at n=16 against 82k for the natural
+    # order and 275k for COLAMD, where a dense factor holds m^2 = 8M.
+    # AA' + I is symmetric, so the transpose of its CSR form is the CSC
+    # form splu takes
+    At = A.T.tocsr()
+    AAt = A @ At + scipy.sparse.identity(A.shape[0], format="csr")
+    lu = splu(AAt.T, permc_spec="MMD_AT_PLUS_A",
+              options={"SymmetricMode": True})
+    return layout, A0, A0.T, A, At, lu, dscale, escale
+
+
+# the last solve's (key, _setup(problem)), replaced as one tuple
+_last_setup = None
 
 
 def solve_conic(problem: ConicProblem, tol: float = 1e-5,
@@ -296,32 +371,39 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
 
     On status 'optimal' the relative primal/dual residuals and the
     normalized duality gap are all at most tol, which must be finite and
-    positive. No randomness: identical inputs give identical outputs. The
-    solution records the setup time (row sorting, Ruiz scaling and
-    factorization) and the iteration time.
+    positive; max_iters is an integer of at least 1. No randomness:
+    identical inputs give identical outputs. The solution records the
+    setup time (row sorting, Ruiz scaling and factorization, or their
+    reuse) and the iteration time.
 
     certify, a map from x (in the problem's units) to a lower bound on
     the optimal c'x, fills certified_bound at the returned x. With
-    stop_at as well, every check (after iteration 1, every 25th and the
-    last) also certifies, and the solve ends with status 'bound-reached'
-    once the bound is at least stop_at. Each exit certifies its iterate
-    once.
+    stop_at (not NaN) as well, every check (after iteration 1, every 25th
+    and the last) also certifies, and the solve ends with status
+    'bound-reached' once the bound is at least stop_at. Each exit
+    certifies its iterate once.
 
     start=(x, s, y, rho) starts the iterates from an earlier solve over
     the same variables: x, s and y in the problem's row order and original
     units (as a ConicSolution holds them), rho its finite, positive step
     parameter. The default start is zero with rho = 1.
-    """
-    # scipy is imported where a cone program is built or solved, so the
-    # numpy-only commands (decompose, synth, cv, bench) never load it
-    import scipy.sparse
-    from scipy.sparse.linalg import splu
 
+    The module keeps the last solve's setup, one entry. A solve whose A
+    has the same shape and the same indptr, indices and data bytes, and
+    whose cones have the same _structure, reuses it and computes only the
+    zero rows and the scaled b and c: the setup is a function of exactly
+    that key, which is compared by content, so an A edited in place or
+    another program misses, and a reused setup gives the bits of a fresh
+    one. The entry is never modified, only replaced.
+    """
+    global _last_setup
     check_finite(tol=tol)
-    if max_iters < 1:
+    if (max_iters := operator.index(max_iters)) < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if stop_at is not None and certify is None:
         raise ValueError("a stop target needs a certificate")
+    if stop_at is not None and math.isnan(stop_at):
+        raise ValueError("stop_at must not be NaN")
     m, n = problem.A.shape
     if start is None:
         start = (np.zeros(n), np.zeros(m), np.zeros(m), 1.0)
@@ -335,30 +417,22 @@ def solve_conic(problem: ConicProblem, tol: float = 1e-5,
     check_finite(rho=rho)
     rho = float(rho)
     t_start = time.perf_counter()
-    layout = _ConeLayout(problem.cones)
+    key = (_structure(problem.cones), problem.A.shape,
+           *((v.dtype.str, v.tobytes()) for v in
+             (problem.A.indptr, problem.A.indices, problem.A.data)))
+    last = _last_setup
+    if last is None or last[0] != key:
+        last = _last_setup = (key, _setup(problem))
+    layout, A0, A0t, A, At, lu, dscale, escale = last[1]
+    layout = layout.pin(problem.cones)
     order = layout.order
-    # the solve runs on the rows in sorted order; s and y are put back in
-    # the problem's order on return
-    A0, b0, c0 = problem.A[order], problem.b[order], problem.c
-    A0t = A0.T
-    A, b, c, dscale, escale = _ruiz_equilibrate(A0, b0, c0, layout)
+    b0, c0 = problem.b[order], problem.c
+    b, c = dscale * b0, escale * c0
     # normalize rhs and objective scales (undone via sigb/sigc below)
     sigb = 1.0 + np.linalg.norm(b)
     sigc = 1.0 + np.linalg.norm(c)
     b = b / sigb
     c = c / sigc
-
-    # sparse LU of the SPD matrix AA' + I, by SuperLU itself (`factorized`
-    # would switch to UMFPACK where installed). Minimum degree on its
-    # symmetric pattern gave the least fill of SuperLU's orderings on the
-    # relaxations: 13k L+U nonzeros at n=16 against 82k for the natural
-    # order and 275k for COLAMD, where a dense factor holds m^2 = 8M.
-    # AA' + I is symmetric, so the transpose of its CSR form is the CSC
-    # form splu takes
-    At = A.T.tocsr()
-    AAt = A @ At + scipy.sparse.identity(m, format="csr")
-    lu = splu(AAt.T, permc_spec="MMD_AT_PLUS_A",
-              options={"SymmetricMode": True})
     Ac = A @ c
 
     # the inverse of the map back to original units below; st is the

@@ -45,9 +45,11 @@ becomes the CSR constraint matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,9 +147,10 @@ class RelaxationModel:
     matrix variables by scale. certify maps any x to a lower bound on
     the optimal c'x (module docstring).
 
-    A model built with a pattern has one zero-cone row per cell of Z,
-    pinned or free, so every pattern's program over one instance has the
-    same variables and rows, and one's final iterate can start another's.
+    A pattern moves each pinned cell's Z <= 1 row from the nonneg to the
+    zero cone, with constant 0 on I0, so every pattern's program over one
+    instance has the same variables, rows, A and c, and one's final
+    iterate can start another's.
     """
 
     problem: ConicProblem
@@ -292,7 +295,7 @@ def _fenchel_certificate(D, X, Y, lam, conjugates):
     return certify
 
 
-def _perspective_certificate(D, k0, k1, lam, mu, pattern, rho1, rho2, X, Y):
+def _perspective_certificate(D, k0, k1, lam, mu, rho1, rho2, X, Y, pattern):
     """The certificate of _build_perspective's program over unit-scale D:
     d(W) with the top-k sums, or the linearized low-rank model's value."""
     if k1 == 0:
@@ -330,15 +333,55 @@ def _capped_ridge_terms(w, lam, r):
     return np.r_[nu * r, np.maximum(w - nu, 0.0) ** 2 / (4 * lam)]
 
 
+class _Skeleton(NamedTuple):
+    """A pattern-free perspective program (A and c read-only), its id
+    matrices, the first row and the cone index of its Z <= 1 rows (the
+    cone is None without Z) and pattern -> its certificate."""
+
+    problem: ConicProblem
+    constant: float
+    X: np.ndarray
+    P: np.ndarray
+    Z: np.ndarray
+    bound_row: int
+    bound_cone: int | None
+    certificate: Callable
+
+
+# the last _build_perspective call's (key, _Skeleton), replaced as one
+# tuple
+_last_skeleton = None
+
+
 def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
                        rho2=None, strengthen=None):
     """The perspective relaxation of unit-scale D, optionally with the
     strengthening (beta, gamma). When k1 = 0 it is the linearized
     low-rank model: objective ||D||^2 - 2<D, X> + (1+lam)*tr(Theta) under
-    the trace budget and the blocks, with no residual, Z or penalties."""
-    n = len(D)
+    the trace budget and the blocks, with no residual, Z or penalties.
+
+    The pattern-free program of the last call is kept, keyed on all it is
+    built from (D's bytes and every other argument but the pattern), and
+    every model is that skeleton with the pattern applied by
+    _with_pattern. Zero's sign never reaches the program (the builder
+    drops zero coefficients and adds objective terms to 0.0), so keys
+    that compare equal build equal programs."""
+    global _last_skeleton
     if pattern is not None:
-        pattern.check(n, k1)
+        pattern.check(len(D), k1)
+    key = (D.shape, D.tobytes(), tau, k0, k1, lam, mu, rho1, rho2,
+           strengthen)
+    last = _last_skeleton
+    if last is None or last[0] != key:
+        last = _last_skeleton = (key, _perspective_skeleton(
+            D, tau, k0, k1, lam, mu, rho1, rho2, strengthen))
+    return _with_pattern(last[1], tau, pattern)
+
+
+def _perspective_skeleton(D, tau, k0, k1, lam, mu, rho1, rho2, strengthen):
+    """_build_perspective's pattern-free program."""
+    n = len(D)
+    D = D.copy()    # the certificate reads D; the caller's may change
     lowrank = k1 == 0   # only then can a pattern force every entry zero
     bld = _ConeProgramBuilder()
     if lowrank:
@@ -348,6 +391,7 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         t = bld.new_vars()
         X, Y, Z, alpha = (bld.new_vars(n, n) for _ in range(4))
     Th, P = bld.sym_vars(n), bld.sym_vars(n)
+    bound_row, bound_cone = 0, None
 
     if lowrank:
         bld.constant += float(np.sum(D * D))
@@ -362,7 +406,9 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         r = 3 * np.arange(n * n)
         bld.add_cone("rsoc", np.zeros(3 * n * n), (r, alpha, 1.0),
                      (r + 1, Z, 0.5), (r + 2, Y, 1.0), count=n * n)
-        # Z <= 1 (Z >= 0 is implied by the cones above)
+        # Z <= 1, row-major (Z >= 0 is implied by the cones above); a
+        # pattern moves a pinned cell's row to the zero cone
+        bound_row, bound_cone = bld.rows, len(bld.cones)
         bld.add_cone("nonneg", np.ones(n * n), (None, Z, -1.0))
         if rho2 is None:
             bld.add_cone("nonneg", [float(k1)], (0, Z, -1.0))
@@ -372,10 +418,6 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         _add_trace_budget(bld, P, k0)
     else:
         bld.add_objective(np.diag(P), rho1)
-    if pattern is not None and not lowrank:
-        # Z_ij = 0 on I0 and 1 on I1; a free cell's row is empty (0 = 0)
-        bld.add_cone("zero", np.where(pattern.keep, -1.0, 0.0).ravel(),
-                     (None, Z, 1.0 * (pattern.zero | pattern.keep).ravel()))
     _add_unit_box(bld, P)
     _add_psd_block(bld, Th, X, P)
 
@@ -387,10 +429,34 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
         _add_psd_block(bld, _row_projection(bld, D, P, k0), X, P,
                        scale=beta)
 
+    problem = bld.build()
+    # every model of this skeleton shares these arrays
+    for v in (problem.A.data, problem.A.indices, problem.A.indptr,
+              problem.c, D, X, Y, P, Z):
+        if v is not None:
+            v.flags.writeable = False
+    return _Skeleton(problem, bld.constant, X, P, Z, bound_row, bound_cone,
+                     functools.partial(_perspective_certificate, D, k0, k1,
+                                       lam, mu, rho1, rho2, X, Y))
+
+
+def _with_pattern(skeleton, tau, pattern):
+    """The skeleton's program for a pattern: each pinned cell's Z <= 1
+    row in the zero cone, so Z_ij = 1, with constant 0 on I0, so Z_ij =
+    0. The program shares the skeleton's A and c."""
+    prob, k = skeleton.problem, skeleton.bound_cone
+    cones, b = list(prob.cones), prob.b.copy()
+    if pattern is not None and k is not None:
+        pinned = (pattern.zero | pattern.keep).ravel()
+        edges = np.flatnonzero(pinned[1:] != pinned[:-1]) + 1
+        cuts = [0, *edges.tolist(), pinned.size]
+        cones[k:k + 1] = [Cone("zero" if pinned[lo] else "nonneg", hi - lo)
+                          for lo, hi in zip(cuts, cuts[1:])]
+        b[skeleton.bound_row + np.flatnonzero(pattern.zero)] = 0.0
     return RelaxationModel(
-        problem=bld.build(), constant=bld.constant, X=X, P=P, Z=Z, scale=tau,
-        certify=_perspective_certificate(D, k0, k1, lam, mu, pattern, rho1,
-                                         rho2, X, Y))
+        problem=ConicProblem(c=prob.c, A=prob.A, b=b, cones=cones),
+        constant=skeleton.constant, X=skeleton.X, P=skeleton.P,
+        Z=skeleton.Z, scale=tau, certify=skeleton.certificate(pattern))
 
 
 def build_perspective_relaxation(instance: ProblemInstance,

@@ -252,9 +252,9 @@ class TestBranchAndBound:
 
     def test_children_start_warm_on_criterion_4(self, monkeypatch):
         # each child's solve starts from its parent's final iterate; the
-        # 20 runs take 5,117 ADMM iterations over 128 nodes, where a start
-        # that is already converged or fathomed stops at iteration 1 (67 of
-        # the 108 children)
+        # 20 runs take 5,119 ADMM iterations over 130 nodes, where a start
+        # that is already converged or fathomed stops at iteration 1 (69 of
+        # the 110 children)
         from splr import relaxations
         solves = []
 
@@ -275,6 +275,19 @@ class TestBranchAndBound:
         assert len(solves) == nodes
         assert sum(cold for cold, _ in solves) == 20    # the roots
         assert sum(its for _, its in solves) <= 5200
+
+    def test_criterion_4_factors_once_per_instance(self, splu_calls):
+        # every node program of an instance has the same A, so the solver
+        # reuses one factorization of AA' + I (and here, where A depends
+        # on none of D, lam and mu, one for all 20 runs)
+        for lm in (0.5, 1.0):
+            for sigma in (1, 10):
+                for seed in range(5):
+                    inst = ProblemInstance(
+                        generate_instance(4, 1, 2, sigma, seed).D,
+                        1, 2, lm, lm)
+                    branch_and_bound(inst, eps=0.01)
+        assert 1 <= len(splu_calls) <= 20
 
     def test_incumbent_objective_consistent(self):
         rng = np.random.default_rng(8)

@@ -171,6 +171,32 @@ class TestProjections:
                 pu, pv = _project_one(u, cone), _project_one(v, cone)
                 assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
+    def test_one_row_linear_cones_in_mixed_order(self):
+        # zero and nonneg rows form one group in the problem's order, with
+        # the zero rows set to 0 after the clip
+        cones = [Cone("nonneg", 1), Cone("zero", 1), Cone("zero", 1),
+                 Cone("rsoc", 3), Cone("nonneg", 1), Cone("zero", 1),
+                 Cone("psd", 4), Cone("nonneg", 1), Cone("zero", 1)]
+        layout = conic._ConeLayout(cones)
+        bounds = np.cumsum([0] + [co.dim for co in cones])
+        rng = np.random.default_rng(4)
+        for v in [rng.standard_normal(bounds[-1]) * 3 for _ in range(10)]:
+            grouped = np.empty_like(v)
+            grouped[layout.order] = conic._project(v[layout.order], layout)
+            one_by_one = np.concatenate(
+                [_one_cone_reference(v[lo:hi], co)
+                 for co, lo, hi in zip(cones, bounds, bounds[1:])])
+            np.testing.assert_allclose(grouped, one_by_one, rtol=0,
+                                       atol=1e-12)
+        # which linear rows are zero rows changes only the zero rows
+        flipped = [Cone({"zero": "nonneg", "nonneg": "zero"}.get(
+            co.kind, co.kind), co.dim) for co in cones]
+        fresh, pinned = conic._ConeLayout(flipped), layout.pin(flipped)
+        np.testing.assert_array_equal(pinned.order, layout.order)
+        np.testing.assert_array_equal(pinned.order, fresh.order)
+        np.testing.assert_array_equal(pinned.zero, fresh.zero)
+        assert sorted([*pinned.zero, *layout.zero]) == list(range(7))
+
     def test_grouped_product_matches_per_cone(self):
         # kinds and sizes interleaved, so sorting moves every group
         cones = [Cone("psd", 16), Cone("rsoc", 3), Cone("zero", 3),
@@ -300,6 +326,19 @@ class TestSolveCorpus:
         for max_iters in (0, -1):
             with pytest.raises(ValueError, match="max_iters"):
                 solve_conic(prob, max_iters=max_iters)
+
+    def test_max_iters_must_be_an_integer(self):
+        # 2.5 ran 3 iterations and returned iteration 1's x as iteration
+        # 3's; the loop ends at a check only for an integer count
+        prob = _problem([1.0], [[-1.0]], [-1.0], [Cone("nonneg", 1)])
+        for max_iters in (2.5, 60.5):
+            with pytest.raises(TypeError):
+                solve_conic(prob, max_iters=max_iters)
+        for prob, _ in _corpus():
+            numpy_int = solve_conic(prob, max_iters=np.int64(60))
+            assert numpy_int.iterations == 60
+            np.testing.assert_array_equal(
+                numpy_int.x, solve_conic(prob, max_iters=60).x)
 
     def test_row_order_does_not_change_the_solve(self):
         # strictly feasible primal (s0 inside K) and dual (y0 inside K*),
@@ -458,6 +497,78 @@ class TestCertificate:
         prob, _ = _corpus()[0]
         with pytest.raises(ValueError, match="certificate"):
             solve_conic(prob, stop_at=0.0)
+
+    def test_nan_stop_target_rejected(self):
+        # a NaN target was never reached, so the solve ran to 'optimal'
+        prob, _ = _corpus()[0]
+        with pytest.raises(ValueError, match="stop_at"):
+            solve_conic(prob, certify=_Recorder(), stop_at=math.nan)
+
+
+def _bits(sol):
+    """Everything a solution holds but its timings, as comparable bytes."""
+    return [np.asarray(getattr(sol, name)).tobytes() for name in
+            ("x", "s", "y", "objective", "certified_bound", "rho",
+             "primal_residual", "dual_residual", "objective_gap")] + \
+        [sol.status, sol.iterations]
+
+
+class TestSetupMemo:
+    """solve_conic keeps the last solve's setup, keyed on A's bytes and
+    the rsoc/psd structure; a reused setup gives the bits of a fresh
+    one."""
+
+    @staticmethod
+    def _cold(problem, **kwargs):
+        conic._last_setup = None
+        return solve_conic(problem, **kwargs)
+
+    def test_node_programs_share_one_setup(self, splu_calls):
+        # three patterns over one instance: the same A, c and rows, other
+        # zero rows and b
+        from splr.altmin import SparsityPattern
+        inst = ProblemInstance(
+            experiments.generate_instance(4, 1, 2, 1.0, 0).D, 1, 2, 0.5, 0.5)
+        models = [build_perspective_relaxation(inst, pattern) for pattern in
+                  (SparsityPattern(4),
+                   SparsityPattern(4, I0={(0, 1)}, I1={(2, 2)}),
+                   SparsityPattern(4, I0={(0, 1), (1, 1), (3, 0)}))]
+        for prev, model in itertools.permutations(models, 2):
+            cold = self._cold(model.problem, certify=model.certify,
+                              max_iters=200)
+            self._cold(prev.problem, max_iters=5)
+            splu_calls.clear()
+            hit = solve_conic(model.problem, certify=model.certify,
+                              max_iters=200)
+            assert splu_calls == []
+            assert _bits(hit) == _bits(cold)
+
+    def test_another_A_or_structure_misses(self, splu_calls):
+        lp, _ = _corpus()[2]
+        others = [
+            # other data, the same pattern and cones
+            _problem(lp.c, 2.0 * lp.A.toarray(), lp.b, lp.cones),
+            # the same A under another rsoc/psd structure
+            ConicProblem(c=lp.c, A=lp.A, b=np.array([1.0, 1.0, 3.0]),
+                         cones=[Cone("rsoc", 3)]),
+        ]
+        for other in others:
+            cold = self._cold(other, max_iters=60)
+            solve_conic(lp, max_iters=5)
+            splu_calls.clear()
+            assert _bits(solve_conic(other, max_iters=60)) == _bits(cold)
+            assert len(splu_calls) == 1
+
+    def test_A_edited_in_place_misses(self, splu_calls):
+        prob, _ = _corpus()[0]
+        edited = _problem(prob.c, prob.A.toarray(), prob.b, prob.cones)
+        edited.A.data[0] = 2.0
+        cold = self._cold(edited)
+        solve_conic(prob)
+        prob.A.data[0] = 2.0    # now equal to edited by content
+        splu_calls.clear()
+        assert _bits(solve_conic(prob)) == _bits(cold)
+        assert len(splu_calls) == 1
 
 
 class TestWarmStart:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splr import relaxations
 from splr.altmin import SparsityPattern, _multistart, \
     alternating_minimization, multistart_alternating_minimization
 from splr.core import ProblemInstance, reverse_huber_penalty, \
@@ -548,11 +549,11 @@ _GOLDEN_DIGESTS = {
     "perspective_k1_zero":
         "5c7b918564d0a3c3749bb8b7f852e1bfb5667ce2739674a19ed7d06edc5acc70",
     "perspective_pins":
-        "8af465e083971d1f6c303cf7e3ac2f7e59d6cf35af84ae1d4c7cd101c764c884",
+        "6e5b7e7dfa70849edccf9d0757556b21cc6b432b419865bd8b0d64ee161cfc8c",
     "perspective_rho":
         "bdee5715c0f878d33fa81ce8c336f49f57a768e20853c7d5f3548a96c9a11951",
     "strengthened_asym":
-        "7c9a4f87288e80cd8f444390dc62a07a72b687dadf1c6d5bad89f557669a5012",
+        "696f4248b8920d83cf375c7bc3132428cf7b8dcd63a51f2dc0a0466a6c49388a",
     "strengthened_asym_lowrank":
         "d81f4922ae6babf4ad522d098651e47244449f182e9a862446a885c844f65db2",
     "strengthened_sym":
@@ -562,13 +563,18 @@ _GOLDEN_DIGESTS = {
 }
 
 
-def _pin_row(model, cell):
-    """The zero-cone row of a pattern's perspective program for Z at cell:
-    one row per cell of Z, row-major, in the program's only zero cone."""
+def _bound_row(model, cell):
+    """The Z <= 1 row of a perspective program for Z at cell: one row per
+    cell of Z, row-major, right after the rotated cones."""
     cones = model.problem.cones
-    k = [cone.kind for cone in cones].index("zero")
+    k = next(i for i, cone in enumerate(cones) if cone.kind != "rsoc")
     return sum(cone.dim for cone in cones[:k]) + np.ravel_multi_index(
         cell, model.Z.shape)
+
+
+def _row_kinds(problem):
+    return np.repeat([cone.kind for cone in problem.cones],
+                     [cone.dim for cone in problem.cones])
 
 
 _P = SparsityPattern(3, I0={(0, 1)}, I1={(2, 2)})
@@ -580,10 +586,11 @@ _CHILDREN = [
 
 
 class TestPatternRows:
-    """Every pattern's perspective program has the same rows: a child
-    pattern with one more pinned cell fills in that cell's row, which is
-    empty in its parent's program, so a child's solve starts from its
-    parent's final iterate as it is."""
+    """Every pattern's perspective program over one instance has the same
+    A and c: a pattern moves each pinned cell's Z <= 1 row to the zero
+    cone, with constant 0 on I0. A child pattern with one more pinned cell
+    fills in that cell's row, so a child's solve starts from its parent's
+    final iterate as it is."""
 
     @staticmethod
     def _instance():
@@ -593,32 +600,33 @@ class TestPatternRows:
     @pytest.mark.parametrize("parent, child, cell", _CHILDREN)
     def test_child_fills_in_the_free_cell_row(self, parent, child, cell):
         inst = self._instance()
-        old = build_perspective_relaxation(inst, parent)
-        new = build_perspective_relaxation(inst, child)
-        assert new.problem.A.shape == old.problem.A.shape
-        assert new.problem.cones == old.problem.cones
-        row = _pin_row(new, cell)
-        # free in the parent: an empty row reading 0 = 0
-        assert old.problem.A[row].nnz == 0 and old.problem.b[row] == 0.0
-        # pinned in the child: Z at cell is 0 on I0, 1 on I1
-        assert new.problem.A[row].indices.tolist() == [new.Z[cell]]
-        assert new.problem.A[row].data.tolist() == [-1.0]
-        assert new.problem.b[row] == (-1.0 if cell in child.I1 else 0.0)
+        old = build_perspective_relaxation(inst, parent).problem
+        new_model = build_perspective_relaxation(inst, child)
+        new = new_model.problem
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(new.A, part),
+                                          getattr(old.A, part))
+        np.testing.assert_array_equal(new.c, old.c)
+        row = _bound_row(new_model, cell)
+        assert new.A[row].indices.tolist() == [new_model.Z[cell]]
+        assert new.A[row].data.tolist() == [1.0]
+        # free in the parent: 1 - Z >= 0; pinned in the child: 1 - Z = 0
+        # on I1 and -Z = 0 on I0
+        old_kinds, new_kinds = _row_kinds(old), _row_kinds(new)
+        assert (old_kinds[row], new_kinds[row]) == ("nonneg", "zero")
+        assert old.b[row] == 1.0
+        assert new.b[row] == (1.0 if cell in child.I1 else 0.0)
         # nothing else differs
-        diff = (new.problem.A - old.problem.A).tocoo()
-        assert set(diff.row[diff.data != 0].tolist()) == {row}
-        np.testing.assert_array_equal(np.delete(new.problem.b, row),
-                                      np.delete(old.problem.b, row))
-        np.testing.assert_array_equal(new.problem.c, old.problem.c)
+        np.testing.assert_array_equal(np.delete(new_kinds, row),
+                                      np.delete(old_kinds, row))
+        np.testing.assert_array_equal(np.delete(new.b, row),
+                                      np.delete(old.b, row))
 
     @pytest.mark.parametrize("parent, child, cell", _CHILDREN)
     def test_child_starts_from_the_parent_iterate(self, parent, child, cell):
         inst = self._instance()
         res = build_perspective_relaxation(inst, parent).solve(max_iters=50)
         model = build_perspective_relaxation(inst, child)
-        # the new pin's row, empty in the parent, starts at s = y = 0
-        row = _pin_row(model, cell)
-        assert res.iterate[1][row] == res.iterate[2][row] == 0.0
         warm = model.solve(tol=1e-4, max_iters=50, start=res)
         sol = solve_conic(model.problem, tol=1e-4, max_iters=50,
                           start=res.iterate)
@@ -627,6 +635,80 @@ class TestPatternRows:
         assert warm.solver_status == sol.status
         tau = model.scale
         assert warm.lower_bound == (sol.objective + model.constant) * tau * tau
+
+
+class TestSkeletonMemo:
+    """_build_perspective keeps the last pattern-free program and applies
+    each pattern to it."""
+
+    @staticmethod
+    def _cold(build):
+        relaxations._last_skeleton = None
+        return build()
+
+    @pytest.mark.parametrize("build", [
+        lambda inst, pattern: build_perspective_relaxation(inst, pattern),
+        lambda inst, pattern: build_perspective_relaxation(
+            inst, pattern, rho1=0.5, rho2=0.25),
+        lambda inst, pattern: build_strengthened_relaxation(
+            inst, pattern=pattern),
+    ], ids=["perspective", "penalized", "strengthened"])
+    def test_hit_builds_the_cold_program(self, build):
+        inst = TestPatternRows._instance()
+        first, second = _CHILDREN[1][0], _CHILDREN[1][1]
+        cold = self._cold(lambda: build(inst, second))
+        self._cold(lambda: build(inst, first))
+        hit = build(inst, second)       # the memo holds first's skeleton
+        assert _program_digest(hit) == _program_digest(cold)
+        assert hit.problem.cones == cold.problem.cones
+        for name in ("X", "P", "Z"):
+            np.testing.assert_array_equal(getattr(hit, name),
+                                          getattr(cold, name))
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            x = rng.standard_normal(cold.problem.c.size)
+            assert hit.certify(x) == cold.certify(x)
+
+    @pytest.mark.parametrize("change", [
+        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
+            ProblemInstance(D[::-1], k0, k1, lam, mu)),   # the same scale
+        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
+            ProblemInstance(D, k0 + 1, k1, lam, mu)),
+        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
+            ProblemInstance(D, k0, k1 + 1, lam, mu)),
+        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
+            ProblemInstance(D, k0, k1, 2 * lam, mu)),
+        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
+            ProblemInstance(D, k0, k1, lam, 2 * mu)),
+        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
+            ProblemInstance(D, k0, k1, lam, mu), rho1=0.5),
+        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
+            ProblemInstance(D, k0, k1, lam, mu), rho2=0.5),
+        lambda D, k0, k1, lam, mu: build_strengthened_relaxation(
+            ProblemInstance(D, k0, k1, lam, mu), beta=2.0, gamma=1.0),
+    ], ids=["D", "k0", "k1", "lam", "mu", "rho1", "rho2", "beta_gamma"])
+    def test_another_argument_misses(self, change):
+        inst = TestPatternRows._instance()
+        args = (inst.D, inst.k0, inst.k1, inst.lam, inst.mu)
+        build_perspective_relaxation(inst)
+        hit = change(*args)
+        cold = self._cold(lambda: change(*args))
+        assert _program_digest(hit) == _program_digest(cold)
+        x = np.random.default_rng(1).standard_normal(cold.problem.c.size)
+        assert hit.certify(x) == cold.certify(x)
+
+    def test_shared_arrays_are_read_only(self):
+        inst = TestPatternRows._instance()
+        one = build_perspective_relaxation(inst, _CHILDREN[1][0])
+        two = build_perspective_relaxation(inst, _CHILDREN[1][1])
+        assert np.shares_memory(one.problem.A.data, two.problem.A.data)
+        for v in (two.problem.A.data, two.problem.A.indices,
+                  two.problem.A.indptr, two.problem.c, two.Z):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = v[0]
+        # b is each program's own
+        two.problem.b[0] += 1.0
+        assert one.problem.b[0] != two.problem.b[0]
 
 
 class TestGoldenPrograms:
