@@ -93,15 +93,16 @@ class AmTrace:
 
 
 def iteration_bound(lam: float, mu: float, eps: float) -> float:
-    """Worst-case iteration count log((mu+lam+mu*lam)/(mu*lam))/log(1+eps).
+    """Worst-case iteration count log(1 + 1/lam + 1/mu)/log(1 + eps).
 
-    Returned as a real; loop guards take the ceiling. lam, mu and eps
-    must be finite and positive, and eps large enough that 1 + eps > 1.
+    A positive real, +inf where 1/lam overflows, that loop guards compare
+    an integer count with. lam, mu and eps must be finite and positive,
+    and eps large enough that 1 + eps > 1.
     """
     check_finite(lam=lam, mu=mu, eps=eps)
     if 1.0 + eps == 1.0:
         raise ValueError(f"eps={eps!r} is too small: 1 + eps rounds to 1")
-    return math.log((mu + lam + mu * lam) / (mu * lam)) / math.log(1.0 + eps)
+    return math.log1p(1.0 / lam + 1.0 / mu) / math.log(1.0 + eps)
 
 
 def solve_lowrank_subproblem(Dbar, k0: int, lam: float):
@@ -197,7 +198,15 @@ def _am_stack(instance: ProblemInstance, X, Y, eps: float, max_iters: int,
     k0, k1 = instance.k0, instance.k1
     lam, mu = instance.lam, instance.mu
     B = X.shape[0]
-    cap = min(max_iters, math.ceil(iteration_bound(lam, mu, eps)))
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters={max_iters!r} is not an integer") \
+            from None
+    if max_iters < 0:
+        raise ValueError(f"max_iters={max_iters} must be nonnegative")
+    # a real, so t >= cap is t >= ceil(bound) and an infinite bound works
+    cap = min(max_iters, iteration_bound(lam, mu, eps))
     f = objective(instance, X, Y)
     # per run: the singular values kept by its last accepted SVD step, its
     # iterations, its trace length and its stop reason, an index of _REASONS
@@ -291,9 +300,10 @@ def alternating_minimization(instance: ProblemInstance, eps: float = 1e-4,
     each iteration sets Y from D - X (hard threshold) then X from D - Y
     (truncated SVD), and stops when the relative objective decrease drops below
     eps, the objective hits zero, or the iteration cap is reached. The cap is
-    the smaller of max_iters and the analytic worst-case bound. After the first
-    iteration a step that raises the objective (by rounding) is not taken. It
-    runs the package's one AM loop on a stack of one start.
+    the smaller of max_iters, an integer of at least 0, and the analytic
+    worst-case bound. After the first iteration a step that raises the
+    objective (by rounding) is not taken. It runs the package's one AM
+    loop on a stack of one start.
 
     svd_mode 'randomized' fits X over a sketched row space that contains
     the previous X's right vectors, so the previous X stays a candidate and

@@ -2,9 +2,10 @@
 preconditioned factored gradient method (ScaledGD-style).
 
 All take a finite matrix D of any shape, with finite positive tolerances
-and steps, and return SlrSolution objects whose `objective` field is the
-method's own (unregularized) fit ||D - X - Y||_F^2 unless noted; rank and
-sparsity are reported honestly from the returned iterates.
+and steps, and return (SlrSolution, trace): the solution's `objective`
+field is the (unregularized) fit ||D - X - Y||_F^2, the trace holds the
+objective each method minimizes, and rank and sparsity are reported
+honestly from the returned iterates.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ def spcp(D, mu_pen: float, tol: float = 1e-6, max_iters: int = 2000):
     with joint prox steps (singular-value and entrywise soft thresholding)
     and backtracking line search starting from step 1.0.
 
-    mu_pen must be finite and positive. Returns (SlrSolution, rank_count,
-    sparsity_count) where the counts use a 1e-2 magnitude cutoff.
+    mu_pen must be finite and positive. Returns (SlrSolution, trace of
+    that objective at the start and after each iteration); the solution's
+    rank and nonzero counts use a 1e-2 magnitude cutoff.
     """
     D = _as_matrix(D, "D")
     check_finite(mu_pen=mu_pen, tol=tol)
@@ -87,6 +89,7 @@ def spcp(D, mu_pen: float, tol: float = 1e-6, max_iters: int = 2000):
 
     sX = np.zeros(min(D.shape))
     total_prev = smooth(X, Y) + nonsmooth(sX, Y)
+    trace = [total_prev]
     eta = 1.0
     for _ in range(max_iters):
         R = D - X - Y
@@ -106,14 +109,14 @@ def spcp(D, mu_pen: float, tol: float = 1e-6, max_iters: int = 2000):
                 break
         X, Y, sX = Xn, Yn, sn
         total = smooth(X, Y) + nonsmooth(sX, Y)
+        trace.append(total)
         if total == 0.0 or abs(total_prev - total) / max(total, 1e-15) < tol:
             break
         total_prev = total
-    rank_count = linalg.rank_count(sX, atol=1e-2)
-    sparsity_count = int(np.sum(np.abs(Y) > 1e-2))
     sol = SlrSolution(X=X, Y=Y, objective=_fit(D, X, Y),
-                      rank_of_X=rank_count, nnz_of_Y=sparsity_count)
-    return sol, rank_count, sparsity_count
+                      rank_of_X=linalg.rank_count(sX, atol=1e-2),
+                      nnz_of_Y=int(np.sum(np.abs(Y) > 1e-2)))
+    return sol, trace
 
 
 def _threshold_fraction(R, frac):

@@ -152,11 +152,11 @@ def worst_case_perturbations(instance: ProblemInstance, X, Y):
 def unconstrained_min_value(instance: ProblemInstance) -> float:
     """Minimum of the objective with the rank and sparsity constraints dropped.
 
-    Equals mu*lam/(mu + lam + mu*lam) * ||D||_F^2.
+    Equals mu*lam/(mu + lam + mu*lam) * ||D||_F^2, computed as
+    ||D||_F^2/(1 + 1/lam + 1/mu) so that no product of weights overflows.
     """
-    lam, mu = instance.lam, instance.mu
     d2 = float(np.sum(instance.D * instance.D))
-    return mu * lam / (mu + lam + mu * lam) * d2
+    return d2 / (1.0 + 1.0 / instance.lam + 1.0 / instance.mu)
 
 
 def matrix_completion_objective(instance: ProblemInstance, X, Z) -> float:

@@ -225,7 +225,7 @@ def _run_method(method, inst: SyntheticInstance, eps, hyper):
         return sol, sol.objective
     if method == "spcp":
         mu_pen = float(hyper.get("spcp_mu", 1.0))
-        sol, _, _ = spcp(inst.D, mu_pen, tol=eps)
+        sol, _ = spcp(inst.D, mu_pen, tol=eps)
         return sol, sol.objective
     if method == "scaledgd":
         frac = float(hyper.get("scaledgd_alpha", 1.0)) * inst.k1 / inst.n ** 2

@@ -26,14 +26,13 @@ sum of the k largest u_i^2 over 4. Fenchel-Young term by term gives
     d(W) = <D, W> - ||W||^2/4 - sum_{i<=k0} sigma_i(W)^2/(4 lam)
            - (sum_{I1} W_ij^2 + the top k1-|I1| free W_ij^2)/(4 mu)
 
-at any W, read at W = 2(D - X - Y); penalties rho in place of the budgets
-turn a top-k sum into a sum of max(0, term - rho). The strengthened
-relaxation is at least the perspective one, so d(W) bounds it too. The
-linearized low-rank model is certified by its value ||D||^2 -
-sum_{i<=k0} sigma_i(D)^2/(1+lam). The Lee-Zou model, whose budgets are
-||X||_* <= beta*k0 and ||Y||_1 <= gamma*k1, gets d(W) with the top-k sums
-replaced by phi_{lam, beta*k0}(sigma(W)) and phi_{mu, gamma*k1}(|W_ij|),
-where phi_{lam,r}(w) = max {<w, v> - lam*||v||^2 : v >= 0, sum(v) <= r}.
+at any W, read at W = 2(D - X - Y). The strengthened relaxation is at
+least the perspective one, so d(W) bounds it too. The linearized low-rank
+model is certified by its value ||D||^2 - sum_{i<=k0} sigma_i(D)^2/(1+lam).
+The Lee-Zou model, whose budgets are ||X||_* <= beta*k0 and ||Y||_1 <=
+gamma*k1, gets d(W) with the top-k sums replaced by
+phi_{lam, beta*k0}(sigma(W)) and phi_{mu, gamma*k1}(|W_ij|), where
+phi_{lam,r}(w) = max {<w, v> - lam*||v||^2 : v >= 0, sum(v) <= r}.
 
 Programs are built from integer id matrices: the builder hands out each
 matrix variable as an array of variable ids (a symmetric one numbers its
@@ -295,7 +294,7 @@ def _fenchel_certificate(D, X, Y, lam, conjugates):
     return certify
 
 
-def _perspective_certificate(D, k0, k1, lam, mu, rho1, rho2, X, Y, pattern):
+def _perspective_certificate(D, k0, k1, lam, mu, X, Y, pattern):
     """The certificate of _build_perspective's program over unit-scale D:
     d(W) with the top-k sums, or the linearized low-rank model's value."""
     if k1 == 0:
@@ -310,14 +309,9 @@ def _perspective_certificate(D, k0, k1, lam, mu, rho1, rho2, X, Y, pattern):
     skip = np.count_nonzero(free) - (k1 - len(pattern.I1))
 
     def conjugates(sv, W):
-        sx = sv ** 2 / (4 * lam)
         sy = W * W / (4 * mu)
-        x_terms = sx[:k0] if rho1 is None else np.maximum(sx - rho1, 0.0)
-        if rho2 is None:
-            y_terms = np.r_[sy[keep], np.sort(sy[free])[skip:]]
-        else:
-            y_terms = np.r_[sy[keep] - rho2, np.maximum(sy[free] - rho2, 0.0)]
-        return x_terms, y_terms
+        return (sv[:k0] ** 2 / (4 * lam),
+                np.r_[sy[keep], np.sort(sy[free])[skip:]])
 
     return _fenchel_certificate(D, X, Y, lam, conjugates)
 
@@ -353,12 +347,11 @@ class _Skeleton(NamedTuple):
 _last_skeleton = None
 
 
-def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
-                       rho2=None, strengthen=None):
+def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, strengthen=None):
     """The perspective relaxation of unit-scale D, optionally with the
     strengthening (beta, gamma). When k1 = 0 it is the linearized
     low-rank model: objective ||D||^2 - 2<D, X> + (1+lam)*tr(Theta) under
-    the trace budget and the blocks, with no residual, Z or penalties.
+    the trace budget and the blocks, with no residual or Z.
 
     The pattern-free program of the last call is kept, keyed on all it is
     built from (D's bytes and every other argument but the pattern), and
@@ -369,16 +362,15 @@ def _build_perspective(D, tau, k0, k1, lam, mu, pattern=None, rho1=None,
     global _last_skeleton
     if pattern is not None:
         pattern.check(len(D), k1)
-    key = (D.shape, D.tobytes(), tau, k0, k1, lam, mu, rho1, rho2,
-           strengthen)
+    key = (D.shape, D.tobytes(), tau, k0, k1, lam, mu, strengthen)
     last = _last_skeleton
     if last is None or last[0] != key:
         last = _last_skeleton = (key, _perspective_skeleton(
-            D, tau, k0, k1, lam, mu, rho1, rho2, strengthen))
+            D, tau, k0, k1, lam, mu, strengthen))
     return _with_pattern(last[1], tau, pattern)
 
 
-def _perspective_skeleton(D, tau, k0, k1, lam, mu, rho1, rho2, strengthen):
+def _perspective_skeleton(D, tau, k0, k1, lam, mu, strengthen):
     """_build_perspective's pattern-free program."""
     n = len(D)
     D = D.copy()    # the certificate reads D; the caller's may change
@@ -410,14 +402,8 @@ def _perspective_skeleton(D, tau, k0, k1, lam, mu, rho1, rho2, strengthen):
         # pattern moves a pinned cell's row to the zero cone
         bound_row, bound_cone = bld.rows, len(bld.cones)
         bld.add_cone("nonneg", np.ones(n * n), (None, Z, -1.0))
-        if rho2 is None:
-            bld.add_cone("nonneg", [float(k1)], (0, Z, -1.0))
-        else:
-            bld.add_objective(Z, rho2)
-    if rho1 is None or lowrank:
-        _add_trace_budget(bld, P, k0)
-    else:
-        bld.add_objective(np.diag(P), rho1)
+        bld.add_cone("nonneg", [float(k1)], (0, Z, -1.0))
+    _add_trace_budget(bld, P, k0)
     _add_unit_box(bld, P)
     _add_psd_block(bld, Th, X, P)
 
@@ -437,7 +423,7 @@ def _perspective_skeleton(D, tau, k0, k1, lam, mu, rho1, rho2, strengthen):
             v.flags.writeable = False
     return _Skeleton(problem, bld.constant, X, P, Z, bound_row, bound_cone,
                      functools.partial(_perspective_certificate, D, k0, k1,
-                                       lam, mu, rho1, rho2, X, Y))
+                                       lam, mu, X, Y))
 
 
 def _with_pattern(skeleton, tau, pattern):
@@ -460,22 +446,13 @@ def _with_pattern(skeleton, tau, pattern):
 
 
 def build_perspective_relaxation(instance: ProblemInstance,
-                                 pattern: SparsityPattern | None = None,
-                                 rho1: float | None = None,
-                                 rho2: float | None = None) -> RelaxationModel:
-    """Cone program for the perspective relaxation, honoring a partial
-    pattern by pinning the corresponding Z entries.
-
-    If rho1/rho2 are given, the trace and cardinality budgets are replaced
-    by penalty terms rho1*tr(P) + rho2*<E, Z> in the objective; a given
-    rho must be finite and nonnegative.
-    """
-    check_finite(positive=False, rho1=rho1 or 0.0, rho2=rho2 or 0.0)
+                                 pattern: SparsityPattern | None = None) -> RelaxationModel:
+    """Cone program for the perspective relaxation under the budgets
+    tr(P) <= k0 and sum(Z) <= k1, honoring a partial pattern by pinning
+    the corresponding Z entries."""
     D, tau = _normalized(instance.D)
-    rho1, rho2 = (None if rho is None else rho / (tau * tau)
-                  for rho in (rho1, rho2))
     return _build_perspective(D, tau, instance.k0, instance.k1, instance.lam,
-                              instance.mu, pattern, rho1, rho2)
+                              instance.mu, pattern)
 
 
 def build_strengthened_relaxation(instance: ProblemInstance,

@@ -100,12 +100,25 @@ class TestIterationBound:
         with pytest.raises(ValueError, match="^eps=1e-17 is too small"):
             iteration_bound(1.0, 1.0, 1e-17)
         eps = math.nextafter(math.ulp(1.0) / 2, 1.0)
-        assert iteration_bound(1.0, 1.0, eps) == (math.log(3.0)
+        assert iteration_bound(1.0, 1.0, eps) == (math.log1p(2.0)
                                                   / math.log(1.0 + eps))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             iteration_bound(0.0, 1.0, 0.1)
+
+    def test_positive_at_any_finite_weights(self):
+        # the old numerator log((mu+lam+mu*lam)/(mu*lam)) was NaN at
+        # lam = mu = 1e200, divided by zero at 1e-200, and rounded to 0 at
+        # 1e154; 1/lam overflows to inf below about 5.6e-309
+        rng = np.random.default_rng(0)
+        lam, mu = 10.0 ** rng.uniform(-320, 300, size=(2, 2000))
+        extremes = [(1e200, 1e200), (1e-200, 1e-200), (1e-320, 1.0),
+                    (1e154, 1e154), (1e300, 1e300), (5e-324, 5e-324)]
+        for a, b in [*zip(lam.tolist(), mu.tolist()), *extremes]:
+            for eps in (2.0, 1e-4, 1e-12):
+                assert iteration_bound(a, b, eps) > 0
+        assert iteration_bound(1e-320, 1.0, 1e-4) == math.inf
 
     @pytest.mark.parametrize("args,name", [
         ((math.nan, 1.0, 0.1), "lam"),
@@ -470,6 +483,19 @@ class TestAlternatingMinimization:
                 alternating_minimization(inst, eps=eps, svd_mode=svd_mode)
         with pytest.raises(ValueError, match="^eps must be finite"):
             multistart_alternating_minimization(inst, eps=eps)
+
+    @pytest.mark.parametrize("max_iters,message", [
+        (2.5, "^max_iters=2.5 is not an integer"),
+        (-1, "^max_iters=-1 must be nonnegative")])
+    def test_max_iters_is_a_nonnegative_integer(self, max_iters, message):
+        # 2.5 ran 3 iterations and -1 ran none
+        inst = ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            alternating_minimization(inst, max_iters=max_iters)
+        with pytest.raises(ValueError, match=message):
+            multistart_alternating_minimization(inst, max_iters=max_iters)
+        sol, trace = alternating_minimization(inst, max_iters=np.int64(0))
+        assert trace.iterations == 0 and sol.objective == 2.0
 
     def test_unknown_mode(self):
         inst = ProblemInstance(np.eye(2), 1, 0, 1.0, 1.0)

@@ -49,14 +49,15 @@ class TestGodec:
 
 class TestSpcp:
     def test_zero_input(self):
-        sol, rank, nnz = spcp(np.zeros((3, 3)), 1.0)
+        sol, trace = spcp(np.zeros((3, 3)), 1.0)
         assert sol.objective == 0.0
-        assert rank == 0 and nnz == 0
+        assert sol.rank_of_X == 0 and sol.nnz_of_Y == 0
+        assert trace == [0.0, 0.0]
 
     def test_scalar_matches_grid_oracle(self):
         # 1x1 problem: min |x| + |y| + (1/(2 mu)) (d - x - y)^2
         d, mu_pen = 3.0, 0.5
-        sol, _, _ = spcp(np.array([[d]]), mu_pen, tol=1e-10)
+        sol, trace = spcp(np.array([[d]]), mu_pen, tol=1e-10)
         grid = np.arange(-4.0, 4.0001, 0.001)
         vals = np.abs(grid[:, None]) + np.abs(grid[None, :]) \
             + (d - grid[:, None] - grid[None, :]) ** 2 / (2 * mu_pen)
@@ -64,12 +65,15 @@ class TestSpcp:
         got = (abs(sol.X[0, 0]) + abs(sol.Y[0, 0])
                + (d - sol.X[0, 0] - sol.Y[0, 0]) ** 2 / (2 * mu_pen))
         assert got == pytest.approx(ref, abs=1e-4)
+        # the trace holds SPCP's own objective, from the start X = Y = 0
+        assert trace[0] == d * d / (2 * mu_pen)
+        assert trace[-1] == pytest.approx(got, rel=1e-12)
 
     def test_self_consistent_long_run(self):
         rng = np.random.default_rng(2)
         D = rng.standard_normal((6, 6))
-        short, _, _ = spcp(D, 1.0, tol=1e-8, max_iters=2000)
-        long, _, _ = spcp(D, 1.0, tol=1e-12, max_iters=20000)
+        short, _ = spcp(D, 1.0, tol=1e-8, max_iters=2000)
+        long, _ = spcp(D, 1.0, tol=1e-12, max_iters=20000)
 
         def total(sol):
             s = np.linalg.svd(sol.X, compute_uv=False)

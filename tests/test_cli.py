@@ -101,6 +101,23 @@ class TestDecompose:
                      "1e-17", "--out", str(tmp_path / "dec")]) == 2
         assert "eps=1e-17 is too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam,mu", [
+        ("1e200", "1e200"), ("1e-200", "1e-200"), ("1e-320", "1"),
+        ("1e154", "1e154")])
+    def test_extreme_weights(self, tmp_path, lam, mu):
+        # the iteration bound was NaN (exit 2), divided by zero, overflowed
+        # in ceil (both tracebacks), and at 1e154 rounded to 0, which
+        # returned the zero start after no iteration
+        inst = str(tmp_path / "inst")
+        assert main(["synth", "--n", "4", "--k0", "1", "--k1", "2",
+                     "--seed", "0", "--out", inst]) == 0
+        assert main(["decompose", inst + "_D.csv", "--k0", "1", "--k1", "2",
+                     "--lam", lam, "--mu", mu,
+                     "--out", str(tmp_path / "dec")]) == 0
+        summary = json.loads((tmp_path / "dec_summary.json").read_text())
+        assert np.isfinite(summary["objective"])
+        assert summary["iterations"] >= 1
+
 
 class TestBound:
     def test_witness_perspective(self, tmp_path, capsys):

@@ -195,6 +195,18 @@ class TestUnconstrainedMin:
         inst = ProblemInstance(D, 1, 0, 2.0, 1.0)
         assert unconstrained_min_value(inst) == pytest.approx(2.4)
 
+    def test_finite_at_any_finite_weights(self):
+        # mu*lam/(mu + lam + mu*lam) was inf/inf = NaN at lam = mu = 1e200
+        D = np.diag([3.0, 4.0])
+        rng = _rng(7)
+        lam, mu = 10.0 ** rng.uniform(-320, 300, size=(2, 2000))
+        for a, b in [*zip(lam.tolist(), mu.tolist()), (1e200, 1e200),
+                     (1e-200, 1e-200), (1e-320, 1.0), (1e154, 1e154)]:
+            value = unconstrained_min_value(ProblemInstance(D, 1, 0, a, b))
+            assert 0.0 <= value <= 25.0
+        assert unconstrained_min_value(
+            ProblemInstance(D, 1, 0, 1e200, 1e200)) == 25.0
+
 
 class TestMatrixCompletionObjective:
     def test_all_zero_support(self):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from splr.altmin import (iteration_bound, solve_lowrank_subproblem,
-                         solve_sparse_subproblem)
+from splr.altmin import (alternating_minimization, iteration_bound,
+                         multistart_alternating_minimization,
+                         solve_lowrank_subproblem, solve_sparse_subproblem)
 from splr.baselines import godec, scaled_gd, spcp
 from splr.conic import Cone, ConicProblem, solve_conic
 from splr.core import (ProblemInstance, check_finite, convexity_constants,
@@ -17,7 +18,6 @@ from splr.core import (ProblemInstance, check_finite, convexity_constants,
 from splr.experiments import generate_instance
 from splr.linalg import pseudoinverse
 from splr.relaxations import (bound_gap, build_lee_zou_relaxation,
-                              build_perspective_relaxation,
                               build_strengthened_relaxation,
                               solve_lowrank_sdp)
 
@@ -58,9 +58,11 @@ SITES = [
     (lambda v: solve_lowrank_subproblem(np.eye(2), 1, v), "lam", True),
     # returned NaN on the support
     (lambda v: solve_sparse_subproblem(np.eye(2), 1, v), "mu", True),
+    # rejected, through iteration_bound
+    (lambda v: alternating_minimization(_inst(), eps=v), "eps", False),
+    (lambda v: multistart_alternating_minimization(_inst(), eps=v), "eps",
+     False),
     # failed later: "problem data contains non-finite entries"
-    (lambda v: build_perspective_relaxation(_inst(), rho1=v), "rho1", True),
-    (lambda v: build_perspective_relaxation(_inst(), rho2=v), "rho2", True),
     (lambda v: build_strengthened_relaxation(_inst(), beta=v), "beta",
      False),
     (lambda v: build_strengthened_relaxation(_inst(), gamma=v), "gamma",

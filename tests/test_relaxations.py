@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from splr import relaxations
 from splr.altmin import SparsityPattern, _multistart, \
     alternating_minimization, multistart_alternating_minimization
-from splr.core import ProblemInstance, reverse_huber_penalty, \
-    unconstrained_min_value
+from splr.core import ProblemInstance, unconstrained_min_value
 from splr.bnb import exhaustive_oracle
 from splr.conic import solve_conic
 from splr.experiments import generate_instance
@@ -92,31 +91,6 @@ class TestPerspective:
         inst = ProblemInstance(np.eye(3), 1, 2, 1.0, 1.0)
         with pytest.raises(ValueError):
             build_perspective_relaxation(inst, SparsityPattern(2))
-
-    def test_penalized_dominated_by_budgeted(self):
-        # any point feasible for the budgeted form pays at most
-        # rho1*k0 + rho2*k1 extra in the penalized objective
-        rng = np.random.default_rng(3)
-        inst = ProblemInstance(rng.standard_normal((3, 3)), 1, 2, 1.0, 1.0)
-        rho1, rho2 = 0.4, 0.6
-        pen = build_perspective_relaxation(inst, rho1=rho1, rho2=rho2).solve()
-        bud = build_perspective_relaxation(inst).solve()
-        assert pen.lower_bound <= (bud.lower_bound + rho1 * inst.k0
-                                   + rho2 * inst.k1 + 1e-3)
-
-    def test_scalar_penalized_matches_reverse_huber(self):
-        # on a 1x1 instance the penalized relaxation collapses to
-        # min over (x, y) of (d-x-y)^2 + rh(x, lam, rho1) + rh(y, mu, rho2)
-        d, lam, mu, r1, r2 = 1.3, 0.5, 1.0, 0.3, 0.7
-        inst = ProblemInstance(np.array([[d]]), 1, 1, lam, mu)
-        res = build_perspective_relaxation(inst, rho1=r1, rho2=r2).solve()
-        assert res.solver_status == "optimal"
-        xs = np.arange(-2.0, 2.0001, 0.002)
-        ry = np.array([reverse_huber_penalty(v, mu, r2) for v in xs])
-        best = min(float(np.min((d - x - xs) ** 2
-                                + reverse_huber_penalty(x, lam, r1) + ry))
-                   for x in xs)
-        assert res.lower_bound == pytest.approx(best, abs=1e-3)
 
 
 class TestStrengthened:
@@ -377,28 +351,23 @@ class TestCertifiedBound:
                 res = model.solve(max_iters=max_iters)
                 assert ref - 1e-12 * ref <= res.certified_bound <= ref
 
-    def test_strengthened_and_penalized_certificates(self):
-        # the penalized objective of a feasible point exceeds the plain one
-        # by at most rho1*k0 + rho2*k1
+    def test_strengthened_certificates(self):
         rng = np.random.default_rng(12)
         for D in (rng.standard_normal((3, 3)), np.diag([2.0, -1.0, 0.5])):
             inst = ProblemInstance(D, 1, 1, 1.0, 1.0)
             best = min(_support_values(inst).values())
-            for model, extra in (
-                    (build_strengthened_relaxation(inst), 0.0),
-                    (build_perspective_relaxation(inst, rho1=0.3, rho2=0.2),
-                     0.3 * inst.k0 + 0.2 * inst.k1)):
-                for max_iters in (1, 25, 200, 50000):
-                    res = model.solve(max_iters=max_iters)
-                    assert np.isfinite(res.certified_bound)
-                    assert res.certified_bound <= best + extra
-                assert res.certified_bound == pytest.approx(
-                    res.lower_bound, rel=1e-3)
+            model = build_strengthened_relaxation(inst)
+            for max_iters in (1, 25, 200, 50000):
+                res = model.solve(max_iters=max_iters)
+                assert np.isfinite(res.certified_bound)
+                assert res.certified_bound <= best
+            assert res.certified_bound == pytest.approx(res.lower_bound,
+                                                        rel=1e-3)
 
     @pytest.mark.parametrize("case", [
-        "budgets", "penalties", "pattern", "full keep", "penalized pattern",
-        "strengthened", "low rank", "low rank strengthened", "lee zou",
-        "lee zou low rank", "lee zou binding"])
+        "budgets", "pattern", "full keep", "strengthened", "low rank",
+        "low rank strengthened", "lee zou", "lee zou low rank",
+        "lee zou binding"])
     def test_agrees_with_the_conic_value(self, case):
         # at a converged solve d(W) at the final iterate is the relaxation's
         # optimum: the dual is exact
@@ -407,11 +376,7 @@ class TestCertifiedBound:
         inst = ProblemInstance(data.D, 2, k1, 0.5, 0.7)
         cells = [(0, 1), (2, 2), (4, 0), (1, 3), (3, 3)]
         pattern = {"pattern": SparsityPattern(5, cells[:2], cells[2:3]),
-                   "full keep": SparsityPattern(5, cells[:2], cells[2:]),
-                   "penalized pattern": SparsityPattern(5, cells[:2],
-                                                        cells[2:4])}.get(case)
-        rho = (0.3, 0.4) if "penalized" in case or case == "penalties" \
-            else (None, None)
+                   "full keep": SparsityPattern(5, cells[:2], cells[2:])}
         if "strengthened" in case:
             model = build_strengthened_relaxation(inst)
         elif "lee zou" in case:
@@ -419,7 +384,7 @@ class TestCertifiedBound:
             model = build_lee_zou_relaxation(
                 inst, *((1.0, 0.5) if "binding" in case else (None, None)))
         else:
-            model = build_perspective_relaxation(inst, pattern, *rho)
+            model = build_perspective_relaxation(inst, pattern.get(case))
         res = model.solve(tol=1e-9)
         assert res.solver_status == "optimal"
         assert res.certified_bound == pytest.approx(res.lower_bound,
@@ -428,18 +393,15 @@ class TestCertifiedBound:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n=st.sampled_from([3, 4]),
            k1=st.integers(0, 3), n_keep=st.integers(0, 3),
-           n_zero=st.integers(0, 4), penalized=st.booleans(),
-           a=st.floats(0.0, 1.5), b=st.sampled_from([0.0, 0.01, 0.3, 3.0]),
-           lee_zou=st.booleans())
+           n_zero=st.integers(0, 4), a=st.floats(0.0, 1.5),
+           b=st.sampled_from([0.0, 0.01, 0.3, 3.0]), lee_zou=st.booleans())
     def test_never_above_the_oracle_at_any_w(self, seed, n, k1, n_keep,
-                                             n_zero, penalized, a, b,
-                                             lee_zou):
+                                             n_zero, a, b, lee_zou):
         # W mixes the AM residual of the pattern's best support, which
         # certifies within a few percent, with Gaussian noise; the Lee-Zou
         # model, with its default beta and gamma, takes no pattern
         if lee_zou:
             n_keep = n_zero = 0
-            penalized = False
         rng = np.random.default_rng(seed)
         lam, mu = rng.choice([0.3, 1.0], size=2)
         inst = ProblemInstance(3 * rng.standard_normal((n, n)), 1, k1,
@@ -453,13 +415,11 @@ class TestCertifiedBound:
             sol = _consistent_best(inst, pattern)
         else:
             sol, _ = exhaustive_oracle(inst, n_starts=2)
-        rho1, rho2 = (0.5 * rng.random(2) if penalized else (None, None))
-        extra = (rho1 * inst.k0 + rho2 * k1) if penalized else 0.0
         model = (build_lee_zou_relaxation(inst) if lee_zou else
-                 build_perspective_relaxation(inst, pattern, rho1, rho2))
+                 build_perspective_relaxation(inst, pattern))
         W = (a * 2 * (inst.D - sol.X - sol.Y) / model.scale
              + b * rng.standard_normal((n, n)))
-        assert _bound_at(model, inst.D, W) <= sol.objective + extra
+        assert _bound_at(model, inst.D, W) <= sol.objective
 
     def test_stop_target(self):
         inst = ProblemInstance(generate_instance(4, 1, 2, 10, 0).D,
@@ -481,13 +441,6 @@ class TestCertifiedBound:
             res = build(inst).solve()
             assert np.isfinite(res.certified_bound)
             assert res.certified_bound <= best
-
-    def test_rejects_negative_penalties(self):
-        inst = ProblemInstance(np.eye(2), 1, 1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            build_perspective_relaxation(inst, rho1=-0.1)
-        with pytest.raises(ValueError):
-            build_perspective_relaxation(inst, rho2=-0.1)
 
 
 def _program_digest(model):
@@ -521,8 +474,6 @@ def _golden_cases():
     return {
         "perspective": lambda: build_perspective_relaxation(asym),
         "perspective_pins": lambda: build_perspective_relaxation(asym, pins),
-        "perspective_rho": lambda: build_perspective_relaxation(
-            asym, rho1=0.5, rho2=0.25),
         "perspective_k1_zero": lambda: build_perspective_relaxation(
             lowrank_asym),
         "perspective_all_zero": lambda: build_perspective_relaxation(
@@ -550,8 +501,6 @@ _GOLDEN_DIGESTS = {
         "5c7b918564d0a3c3749bb8b7f852e1bfb5667ce2739674a19ed7d06edc5acc70",
     "perspective_pins":
         "6e5b7e7dfa70849edccf9d0757556b21cc6b432b419865bd8b0d64ee161cfc8c",
-    "perspective_rho":
-        "bdee5715c0f878d33fa81ce8c336f49f57a768e20853c7d5f3548a96c9a11951",
     "strengthened_asym":
         "696f4248b8920d83cf375c7bc3132428cf7b8dcd63a51f2dc0a0466a6c49388a",
     "strengthened_asym_lowrank":
@@ -648,11 +597,9 @@ class TestSkeletonMemo:
 
     @pytest.mark.parametrize("build", [
         lambda inst, pattern: build_perspective_relaxation(inst, pattern),
-        lambda inst, pattern: build_perspective_relaxation(
-            inst, pattern, rho1=0.5, rho2=0.25),
         lambda inst, pattern: build_strengthened_relaxation(
             inst, pattern=pattern),
-    ], ids=["perspective", "penalized", "strengthened"])
+    ], ids=["perspective", "strengthened"])
     def test_hit_builds_the_cold_program(self, build):
         inst = TestPatternRows._instance()
         first, second = _CHILDREN[1][0], _CHILDREN[1][1]
@@ -680,13 +627,9 @@ class TestSkeletonMemo:
             ProblemInstance(D, k0, k1, 2 * lam, mu)),
         lambda D, k0, k1, lam, mu: build_perspective_relaxation(
             ProblemInstance(D, k0, k1, lam, 2 * mu)),
-        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
-            ProblemInstance(D, k0, k1, lam, mu), rho1=0.5),
-        lambda D, k0, k1, lam, mu: build_perspective_relaxation(
-            ProblemInstance(D, k0, k1, lam, mu), rho2=0.5),
         lambda D, k0, k1, lam, mu: build_strengthened_relaxation(
             ProblemInstance(D, k0, k1, lam, mu), beta=2.0, gamma=1.0),
-    ], ids=["D", "k0", "k1", "lam", "mu", "rho1", "rho2", "beta_gamma"])
+    ], ids=["D", "k0", "k1", "lam", "mu", "beta_gamma"])
     def test_another_argument_misses(self, change):
         inst = TestPatternRows._instance()
         args = (inst.D, inst.k0, inst.k1, inst.lam, inst.mu)
